@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +84,16 @@ class ProximityLabels:
     """±1 labels over all unordered pairs, packed one bit per pair.
 
     Bit set means Near (+1). Pair order is the condensed upper-triangle
-    order of `numpy.triu_indices(n, 1)`.
+    order of `numpy.triu_indices(n, 1)`. The unpacked forms are built on
+    first request and returned read-only from then on.
     """
 
     n: int
     packed: np.ndarray
     near_count: int
     far_count: int
+    _near: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _signs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_near_mask(cls, near: np.ndarray, n: int) -> "ProximityLabels":
@@ -107,12 +110,20 @@ class ProximityLabels:
         return self.n * (self.n - 1) // 2
 
     def near_mask(self) -> np.ndarray:
-        """Boolean Near indicator over pairs in condensed order."""
-        return np.unpackbits(self.packed, count=self.num_pairs).astype(bool)
+        """Boolean Near indicator over pairs in condensed order (read-only)."""
+        if self._near is None:
+            near = np.unpackbits(self.packed, count=self.num_pairs).view(bool)
+            near.flags.writeable = False
+            self._near = near
+        return self._near
 
     def signs(self) -> np.ndarray:
-        """±1 labels y over pairs in condensed order (int8)."""
-        return np.where(self.near_mask(), 1, -1).astype(np.int8)
+        """±1 labels y over pairs in condensed order (int8, read-only)."""
+        if self._signs is None:
+            signs = np.where(self.near_mask(), 1, -1).astype(np.int8)
+            signs.flags.writeable = False
+            self._signs = signs
+        return self._signs
 
     def label(self, i: int, j: int) -> int:
         """±1 label of the unordered pair (i, j), i != j."""

@@ -292,22 +292,11 @@ def _load_matrix(path: Path, fmt: str) -> np.ndarray:
 
 def cmd_cut(args) -> int:
     W = _load_matrix(_require(args.matrix), args.matrix_format)
-    try:
-        W = mincut.check_weights(W)
+    seeds = [derive_seed(args.seed, "cut", r) for r in range(args.restarts)]
+    try:  # rejects a non-finite matrix or no restarts
+        best, best_report = mincut.best_of_restarts(W, args.update, args.init, seeds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    update = mincut.UPDATE_SCHEMES[args.update]
-    make_init = mincut.INITIALIZERS[args.init]
-    best, best_report = None, None
-    for r in range(args.restarts):
-        seed = derive_seed(args.seed, "cut", r)
-        if r == 0 or args.init in ("random", "random-projection"):
-            b0 = make_init(W, seed)
-        else:
-            b0 = mincut.init_random(W.shape[0], seed)
-        b, report = update(W, b0)
-        if best is None or report.objective > best_report.objective:
-            best, best_report = b, report
     print(f"objective {best_report.objective!r}")
     print(f"iterations {best_report.iterations}")
     print("assignment " + " ".join(f"{int(v):+d}" for v in best))

@@ -283,8 +283,7 @@ def train_with_hashing(
     classifiers: list[KernelClassifier] = []
     accuracies: list[float] = []
     for _ in range(config.max_bits):
-        W = weight_matrix(labels, state)
-        target, solver_report = solve_bit(W, config, bit_index=state.bits_done)
+        target, solver_report = solve_bit(weight_matrix(labels, state), config, bit_index=state.bits_done)
         fit = fit_bit_classifier(
             data,
             target,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,7 +81,10 @@ def psd_shift(W: np.ndarray) -> tuple[np.ndarray, float]:
     eigendecomposition. Over-shifting is harmless: a diagonal constant
     moves every objective by c*n and changes no argmax.
     """
-    W = check_weights(W)
+    return _psd_shift(check_weights(W))
+
+
+def _psd_shift(W: np.ndarray) -> tuple[np.ndarray, float]:
     radii = np.abs(W).sum(axis=1) - np.abs(np.diag(W))
     bound = float(np.min(np.diag(W) - radii))
     shift = max(0.0, -bound)
@@ -107,8 +111,13 @@ def vector_update(
     sign(0) resolves to +1.
     """
     W = check_weights(W)
+    Ws, shift = _psd_shift(W)
+    return _vector_iterate(W, Ws, shift, b0, max_iter, trace)
+
+
+def _vector_iterate(W, Ws, shift, b0, max_iter=VECTOR_ITER_CAP, trace=False):
+    """`vector_update` on a validated W and its PSD shift Ws = W + shift*I."""
     b = check_bits(b0, W.shape[0])
-    Ws, shift = psd_shift(W)
 
     best = b
     best_obj = objective(Ws, b)
@@ -153,10 +162,19 @@ def bit_update(
     1-flip-optimal: no single flip increases sum_{i!=j} W[i,j] b[i] b[j].
     """
     W = check_weights(W)
-    b = check_bits(b0, W.shape[0]).copy()
-    n = b.shape[0]
+    return _bit_sweeps(W, _zero_diagonal(W), b0, max_sweeps, trace)
+
+
+def _zero_diagonal(W: np.ndarray) -> np.ndarray:
     W0 = W.copy()
     np.fill_diagonal(W0, 0.0)
+    return W0
+
+
+def _bit_sweeps(W, W0, b0, max_sweeps=BIT_SWEEP_CAP, trace=False):
+    """`bit_update` on a validated W and its zero-diagonal copy W0."""
+    b = check_bits(b0, W.shape[0]).copy()
+    n = b.shape[0]
 
     trajectory = [b.copy()] if trace else None
     sweeps = 0
@@ -198,26 +216,48 @@ def init_random(n: int, seed: int) -> np.ndarray:
     return (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
 
 
+def best_of_restarts(
+    W: np.ndarray, update: str, init: str, seeds: list[int]
+) -> tuple[np.ndarray, SolverReport]:
+    """Best of one `update` solve per seed, by objective (first wins ties).
+
+    W is validated, and the solver's zero-diagonal copy or PSD shift built,
+    once for all restarts. Restart 0 starts from the `init` guess; for the
+    deterministic spectral guesses the later restarts fall back to seeded
+    random vectors so they are not wasted on duplicates.
+    """
+    if not seeds:
+        raise ValueError("need at least one restart")
+    W = check_weights(W)
+    if update == "bit":
+        solve = partial(_bit_sweeps, W, _zero_diagonal(W))
+    else:
+        solve = partial(_vector_iterate, W, *_psd_shift(W))
+    make_init = INITIALIZERS[init]
+    best, best_report = None, None
+    for r, seed in enumerate(seeds):
+        if r == 0 or init in ("random", "random-projection"):
+            b0 = make_init(W, seed)
+        else:
+            b0 = init_random(W.shape[0], seed)
+        b, report = solve(b0)
+        if best is None or report.objective > best_report.objective:
+            best, best_report = b, report
+    return best, best_report
+
+
 # ---------------------------------------------------------------------------
 # Spectral initial guesses
 
 
-@dataclass
-class LaplacianPair:
-    """L = D - W with row-sum degrees, and its |W|-degree counterpart.
+def laplacian(W: np.ndarray, signed: bool = False) -> np.ndarray:
+    """L = D - W with row-sum degrees, or with |W| row-sum degrees when `signed`.
 
-    The second form is positive semidefinite even for signed weights.
+    The signed form is positive semidefinite even for signed weights.
     """
-
-    laplacian: np.ndarray
-    signed_laplacian: np.ndarray
-
-
-def laplacian_pair(W: np.ndarray) -> LaplacianPair:
     W = check_weights(W)
-    L = np.diag(W.sum(axis=1)) - W
-    Lbar = np.diag(np.abs(W).sum(axis=1)) - W
-    return LaplacianPair(laplacian=L, signed_laplacian=Lbar)
+    degrees = np.abs(W).sum(axis=1) if signed else W.sum(axis=1)
+    return np.diag(degrees) - W
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -293,11 +333,10 @@ def init_fiedler(W: np.ndarray) -> np.ndarray:
     (disconnected graphs) or the spectrum dips below zero (signed weights).
     Zeros map to +1.
     """
-    W = check_weights(W)
-    L = laplacian_pair(W).laplacian
+    L = laplacian(W)
     if _is_degenerate(L):
         warnings.warn("all-zero Laplacian; degenerate spectral guess", stacklevel=2)
-        return np.ones(W.shape[0], dtype=np.int8)
+        return np.ones(L.shape[0], dtype=np.int8)
     pairs = _nontrivial_smallest(L, 1)
     return _sign_pos(pairs[0][1])
 
@@ -309,9 +348,8 @@ def init_signed_laplacian(W: np.ndarray) -> np.ndarray:
     smallest eigenvalue whose sign pattern is non-constant is thresholded,
     falling back to the second-smallest. Zeros map to +1.
     """
-    W = check_weights(W)
-    Lbar = laplacian_pair(W).signed_laplacian
-    n = W.shape[0]
+    Lbar = laplacian(W, signed=True)
+    n = Lbar.shape[0]
     if _is_degenerate(Lbar):
         warnings.warn("all-zero signed Laplacian; degenerate spectral guess", stacklevel=2)
         return np.ones(n, dtype=np.int8)
@@ -329,9 +367,8 @@ def init_signed_laplacian(W: np.ndarray) -> np.ndarray:
 def init_random_projection(W: np.ndarray, seed: int) -> np.ndarray:
     """Sign of a Gaussian random combination of the 3 smallest non-trivial
     eigenvectors of L = D - W; with n < 4, uses however many exist."""
-    W = check_weights(W)
-    L = laplacian_pair(W).laplacian
-    n = W.shape[0]
+    L = laplacian(W)
+    n = L.shape[0]
     rng = np.random.default_rng(seed)
     if _is_degenerate(L):
         warnings.warn("all-zero Laplacian; degenerate spectral guess", stacklevel=2)

@@ -23,8 +23,8 @@ from ppc.mincut import (
     ONE_MINUS_EPS,
     SolverReport,
     UPDATE_SCHEMES,
+    best_of_restarts,
     check_bits,
-    objective,
 )
 from ppc.seeds import derive_seed
 
@@ -75,7 +75,14 @@ class TrainConfig:
 
 @dataclass
 class TrainerState:
-    """Accumulated gram matrix and per-bit bookkeeping."""
+    """Accumulated gram matrix and per-bit bookkeeping.
+
+    `gram` is the dense n x n matrix B = C^T C. The pair functions read its
+    upper triangle through a compact condensed copy that is taken on first
+    use and kept in step by `accumulate`, so edit a hand-built `gram` off
+    its diagonal only before it is first used. States made by `empty` and
+    `accumulate` hold a read-only `gram`.
+    """
 
     gram: np.ndarray
     bits_done: int = 0
@@ -83,10 +90,15 @@ class TrainerState:
     beta_hat: float = 0.0
     loss_history: list[LossReport] = field(default_factory=list)
     solver_reports: list[SolverReport] = field(default_factory=list)
+    _pairs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def empty(cls, n: int) -> "TrainerState":
-        return cls(gram=np.zeros((n, n), dtype=np.int64))
+        gram = np.zeros((n, n), dtype=np.int64)
+        gram.flags.writeable = False
+        state = cls(gram=gram)
+        state._pairs = _read_only(np.zeros(n * (n - 1) // 2, dtype=np.int8))
+        return state
 
     @property
     def n(self) -> int:
@@ -103,28 +115,68 @@ def hamming_from_gram(gram_entry: int, bits: int) -> int:
     return bits - g
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _pair_dtype(bits: int) -> type:
+    """Narrowest signed integer type holding every B_ij in [-bits, bits]."""
+    return np.int8 if bits <= 127 else np.int16 if bits <= 32767 else np.int64
+
+
+def _check_gram_range(lo: int, hi: int, bits: int):
+    if max(-lo, hi) > bits:
+        raise ValueError(f"|B_ij|={max(-lo, hi)} exceeds bit count {bits}")
+
+
 def _pair_gram(state: TrainerState) -> np.ndarray:
-    iu = np.triu_indices(state.n, 1)
-    return state.gram[iu]
+    """Read-only condensed B_ij in pair order, in the narrowest integer type."""
+    if state._pairs is None:
+        full = squareform(np.asarray(state.gram), checks=False)
+        if full.size:
+            _check_gram_range(int(full.min()), int(full.max()), state.bits_done)
+        state._pairs = _read_only(full.astype(_pair_dtype(state.bits_done)))
+    return state._pairs
 
 
-def pair_distances(state: TrainerState) -> np.ndarray:
-    """Condensed doubled Hamming distances of the current code."""
-    return state.bits_done - _pair_gram(state)
+def _pair_index(labels: ProximityLabels, state: TrainerState) -> np.ndarray:
+    """Each pair's flat position in a (2k+1, 2) table: row B_ij + k, column 1 if Near.
+
+    After k bits every B_ij lies in -k..k, so any per-pair quantity that
+    depends only on (B_ij, y_ij) takes at most 2(2k+1) values: the pair
+    functions evaluate it once per table entry and gather by this index.
+    """
+    k = state.bits_done
+    pairs = _pair_gram(state)
+    if pairs.size:
+        _check_gram_range(int(pairs.min()), int(pairs.max()), k)
+    idx = pairs.astype(np.intp)
+    idx += k
+    idx *= 2
+    idx += labels.near_mask()
+    return idx
+
+
+# table column 0 holds Far pairs (y = -1), column 1 Near pairs (y = +1)
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _gram_values(bits: int) -> np.ndarray:
+    """The 2k+1 possible B_ij as a float column, one table row each."""
+    return np.arange(-bits, bits + 1, dtype=np.float64)[:, None]
 
 
 def empirical_loss(labels: ProximityLabels, state: TrainerState, alpha: float) -> LossReport:
     """Count violated pairs at threshold alpha (z = 0 does not violate)."""
-    if state.bits_done < 1:
+    k = state.bits_done
+    if k < 1:
         raise ValueError("empirical loss needs at least one bit")
-    d = pair_distances(state)
-    y = labels.signs().astype(np.float64)
-    z = y * (alpha - d)
-    count = int(np.count_nonzero(z < 0))
-    beta = state.bits_done - alpha
+    idx = _pair_index(labels, state)
+    z = (_SIGNS * (alpha - (k - _gram_values(k)))).ravel()[idx]
     return LossReport(
-        empirical=count,
-        relaxed=relaxed_loss(labels, state, beta),
+        empirical=int(np.count_nonzero(z < 0)),
+        relaxed=_relaxed_total(idx, k, k - alpha),
         alpha=float(alpha),
         margin_min=float(z.min()),
         margin_mean=float(z.mean()),
@@ -133,10 +185,12 @@ def empirical_loss(labels: ProximityLabels, state: TrainerState, alpha: float) -
 
 def relaxed_loss(labels: ProximityLabels, state: TrainerState, beta: float) -> float:
     """Logistic total sum ln(1 + exp(-y (B_ij - beta))) over unordered pairs."""
-    g = _pair_gram(state).astype(np.float64)
-    y = labels.signs().astype(np.float64)
-    z = y * (g - beta)
-    return float(np.logaddexp(0.0, -z).sum())
+    return _relaxed_total(_pair_index(labels, state), state.bits_done, beta)
+
+
+def _relaxed_total(idx: np.ndarray, bits: int, beta: float) -> float:
+    z = _SIGNS * (_gram_values(bits) - beta)
+    return float(np.logaddexp(0.0, -z).ravel()[idx].sum())
 
 
 def optimize_alpha(labels: ProximityLabels, state: TrainerState) -> AlphaResult:
@@ -151,18 +205,18 @@ def optimize_alpha(labels: ProximityLabels, state: TrainerState) -> AlphaResult:
     k = state.bits_done
     if k < 1:
         raise ValueError("alpha optimization needs at least one bit")
-    d = pair_distances(state)
-    near = labels.near_mask()
+    # histogram over the 2k+1 possible distance values d = k - B (rows
+    # reversed from B order), Far counts in column 0 and Near in column 1
+    counts = np.bincount(_pair_index(labels, state), minlength=2 * (2 * k + 1)).reshape(-1, 2)[::-1]
+    hist_far, hist_near = counts[:, 0], counts[:, 1]
 
     if labels.near_count == 0 or labels.far_count == 0:
         alpha = float(2 * k - 1) if labels.far_count == 0 else -1.0
-        e_n = int(np.count_nonzero(d[near] > alpha))
-        e_f = int(np.count_nonzero(d[~near] <= alpha))
+        d = np.arange(2 * k + 1)
+        e_n = int(hist_near[d > alpha].sum())
+        e_f = int(hist_far[d <= alpha].sum())
         return AlphaResult(alpha, k - alpha, e_n, e_f, degenerate=True)
 
-    # histogram over the 2k+1 possible distance values, then cumulative counts
-    hist_near = np.bincount(d[near], minlength=2 * k + 1)
-    hist_far = np.bincount(d[~near], minlength=2 * k + 1)
     cum_near = np.concatenate(([0], np.cumsum(hist_near)))
     cum_far = np.concatenate(([0], np.cumsum(hist_far)))
 
@@ -187,59 +241,42 @@ def weight_matrix(labels: ProximityLabels, state: TrainerState) -> np.ndarray:
     would saturate), and the diagonal is zero. Before any bits exist the
     margin is zero and the weights are ±1/2.
     """
-    y = labels.signs().astype(np.float64)
-    if state.bits_done == 0:
-        g = np.zeros(labels.num_pairs)
-        beta = 0.0
-    else:
-        g = _pair_gram(state).astype(np.float64)
-        beta = state.beta_hat
-    z = y * (g - beta)
+    k = state.bits_done
+    beta = state.beta_hat if k else 0.0
+    z = _SIGNS * (_gram_values(k) - beta)
     mag = np.clip(expit(-z), np.finfo(np.float64).tiny, ONE_MINUS_EPS)
-    return squareform(y * mag)
+    return squareform((_SIGNS * mag).ravel()[_pair_index(labels, state)])
 
 
 def accumulate(state: TrainerState, b: np.ndarray) -> TrainerState:
     """Add one bit's rank-1 outer product to the gram matrix."""
-    b = check_bits(b, state.n).astype(np.int64)
-    return replace(
+    b = check_bits(b, state.n)
+    outer = np.outer(b, b)  # int8: widened inside the add, not as an n x n int64 copy
+    gram = np.add(state.gram, outer, dtype=np.result_type(state.gram, np.int64))
+    new = replace(
         state,
-        gram=state.gram + np.outer(b, b),
+        gram=_read_only(gram),
         bits_done=state.bits_done + 1,
         loss_history=list(state.loss_history),
         solver_reports=list(state.solver_reports),
     )
+    if state._pairs is not None:
+        pairs = state._pairs.astype(_pair_dtype(new.bits_done), copy=False)
+        new._pairs = _read_only(pairs + squareform(outer, checks=False))
+    return new
 
 
 def solve_bit(W: np.ndarray, config: TrainConfig, bit_index: int) -> tuple[np.ndarray, SolverReport]:
-    """Best-of-restarts signed-cut solve for one bit.
-
-    Restart 0 uses the configured initial guess; for the deterministic
-    spectral guesses the remaining restarts fall back to seeded random
-    vectors so they are not wasted on duplicates.
-    """
-    update = UPDATE_SCHEMES[config.solver]
-    make_init = INITIALIZERS[config.init]
-    best = None
-    best_report = None
-    for r in range(config.restarts):
-        seed = derive_seed(config.seed, "init", bit_index, r)
-        if r == 0 or config.init in ("random", "random-projection"):
-            b0 = make_init(W, seed)
-        else:
-            b0 = INITIALIZERS["random"](W, seed)
-        b, report = update(W, b0)
-        if best is None or report.objective > best_report.objective:
-            best, best_report = b, report
-    return best, best_report
+    """Best-of-restarts signed-cut solve for one bit, seeded per bit and restart."""
+    seeds = [derive_seed(config.seed, "init", bit_index, r) for r in range(config.restarts)]
+    return best_of_restarts(W, config.solver, config.init, seeds)
 
 
 def train_bit(
     state: TrainerState, labels: ProximityLabels, config: TrainConfig
 ) -> tuple[np.ndarray, TrainerState, LossReport]:
     """Run one full bit step: threshold, weights, cut, accumulate, report."""
-    W = weight_matrix(labels, state)
-    b, report = solve_bit(W, config, bit_index=state.bits_done)
+    b, report = solve_bit(weight_matrix(labels, state), config, bit_index=state.bits_done)
     new_state = accumulate(state, b)
     result = optimize_alpha(labels, new_state)
     new_state.alpha_hat = result.alpha

@@ -237,3 +237,19 @@ def test_pair_cap_enforced():
     data = Dataset(features=np.zeros((30, 1)), class_labels=np.zeros(30, dtype=int))
     with pytest.raises(ValueError, match="cap"):
         labels_by_class(data, max_points=20)
+
+
+def test_unpacked_labels_are_cached_read_only():
+    rng = np.random.default_rng(4)
+    near = rng.random(45) < 0.3
+    labels = ProximityLabels.from_near_mask(near, 10)
+    fresh = np.unpackbits(labels.packed, count=labels.num_pairs).astype(bool)
+    mask, signs = labels.near_mask(), labels.signs()
+    assert np.array_equal(mask, fresh) and np.array_equal(mask, near)
+    assert signs.dtype == np.int8 and np.array_equal(signs, np.where(fresh, 1, -1))
+    assert labels.near_mask() is mask and labels.signs() is signs
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = not mask[0]
+    with pytest.raises(ValueError, match="read-only"):
+        signs[0] = -signs[0]
+    assert np.array_equal(labels.near_mask(), fresh)

@@ -15,7 +15,7 @@ from ppc.mincut import (
     init_random,
     init_random_projection,
     init_signed_laplacian,
-    laplacian_pair,
+    laplacian,
     objective,
     psd_shift,
     smallest_eigenpairs,
@@ -217,7 +217,7 @@ class TestSmallestEigenpairs:
 
     def test_path_graph_null_vector(self):
         W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        L = laplacian_pair(W).laplacian
+        L = laplacian(W)
         val, vec = smallest_eigenpairs(L, k=1)[0]
         assert val == pytest.approx(0.0, abs=1e-10)
         assert np.allclose(vec, vec[0])
@@ -294,7 +294,7 @@ class TestSpectralInits:
         from ppc.mincut import _nontrivial_smallest, _sign_pos
 
         W = random_symmetric(7, seed=13)
-        L = laplacian_pair(W).laplacian
+        L = laplacian(W)
         pairs = _nontrivial_smallest(L, 3)
         g = np.random.default_rng(3).standard_normal(3)
         mix = sum(c * v for c, (_, v) in zip(g, pairs))
@@ -310,9 +310,8 @@ class TestSpectralInits:
 
     def test_laplacian_pair_signed_psd(self):
         W = random_symmetric(10, seed=21)
-        pair = laplacian_pair(W)
-        assert np.linalg.eigvalsh(pair.signed_laplacian).min() >= -1e-10
-        assert np.allclose(pair.laplacian.sum(axis=1), 0.0)
+        assert np.linalg.eigvalsh(laplacian(W, signed=True)).min() >= -1e-10
+        assert np.allclose(laplacian(W).sum(axis=1), 0.0)
 
 
 class TestExhaustive:

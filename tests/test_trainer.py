@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
+from scipy.special import expit
 
 from ppc.affinity import Dataset, ProximityLabels, labels_by_class, synth_blobs
 from ppc.index import pack, pair_hamming
-from ppc.mincut import exhaustive_maxcut, objective
+from ppc.mincut import ONE_MINUS_EPS, exhaustive_maxcut, objective
 from ppc.trainer import (
+    AlphaResult,
     LossReport,
     TrainConfig,
     TrainerState,
+    _pair_gram,
     accumulate,
     empirical_loss,
     hamming_from_gram,
@@ -325,3 +329,159 @@ def test_solver_beats_its_own_start(seed):
 
     b0 = init_random(8, derive_seed(seed, "init", 0, 0))
     assert report.objective >= objective(W, b0) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Elementwise reference formulas: one float per pair, read straight from the
+# dense gram. The trainer evaluates them once per distinct (B_ij, y_ij) and
+# gathers, which must reproduce these floats exactly.
+
+
+def _ref_pairs(state):
+    return state.gram[np.triu_indices(state.n, 1)]
+
+
+def _ref_signs(labels):
+    near = np.unpackbits(labels.packed, count=labels.num_pairs).astype(bool)
+    return np.where(near, 1, -1).astype(np.float64)
+
+
+def _ref_weight_matrix(labels, state):
+    y = _ref_signs(labels)
+    if state.bits_done == 0:
+        g, beta = np.zeros(labels.num_pairs), 0.0
+    else:
+        g, beta = _ref_pairs(state).astype(np.float64), state.beta_hat
+    z = y * (g - beta)
+    mag = np.clip(expit(-z), np.finfo(np.float64).tiny, ONE_MINUS_EPS)
+    return squareform(y * mag)
+
+
+def _ref_relaxed_loss(labels, state, beta):
+    z = _ref_signs(labels) * (_ref_pairs(state).astype(np.float64) - beta)
+    return float(np.logaddexp(0.0, -z).sum())
+
+
+def _ref_empirical_loss(labels, state, alpha):
+    d = state.bits_done - _ref_pairs(state)
+    z = _ref_signs(labels) * (alpha - d)
+    return LossReport(
+        empirical=int(np.count_nonzero(z < 0)),
+        relaxed=_ref_relaxed_loss(labels, state, state.bits_done - alpha),
+        alpha=float(alpha),
+        margin_min=float(z.min()),
+        margin_mean=float(z.mean()),
+    )
+
+
+def _ref_optimize_alpha(labels, state):
+    k = state.bits_done
+    d = k - _ref_pairs(state)
+    near = _ref_signs(labels) > 0
+    if labels.near_count == 0 or labels.far_count == 0:
+        alpha = float(2 * k - 1) if labels.far_count == 0 else -1.0
+        e_n = int(np.count_nonzero(d[near] > alpha))
+        e_f = int(np.count_nonzero(d[~near] <= alpha))
+        return AlphaResult(alpha, k - alpha, e_n, e_f, degenerate=True)
+    cum_near = np.concatenate(([0], np.cumsum(np.bincount(d[near], minlength=2 * k + 1))))
+    cum_far = np.concatenate(([0], np.cumsum(np.bincount(d[~near], minlength=2 * k + 1))))
+    candidates = np.arange(-1, 2 * k, 2)
+    e_n = labels.near_count - cum_near[candidates + 1]
+    e_f = cum_far[candidates + 1]
+    best = int(np.argmin(np.abs(e_n - e_f)))
+    return AlphaResult(float(candidates[best]), k - float(candidates[best]), int(e_n[best]), int(e_f[best]))
+
+
+def _assert_pair_functions_match_reference(labels, state, beta):
+    state.beta_hat = beta
+    assert np.array_equal(weight_matrix(labels, state), _ref_weight_matrix(labels, state))
+    assert relaxed_loss(labels, state, beta) == _ref_relaxed_loss(labels, state, beta)
+    if state.bits_done >= 1:
+        alpha = state.bits_done - beta
+        assert empirical_loss(labels, state, alpha) == _ref_empirical_loss(labels, state, alpha)
+        assert optimize_alpha(labels, state) == _ref_optimize_alpha(labels, state)
+
+
+class TestPairTablesMatchReference:
+    N = 23
+
+    def _labels(self, seed, near_frac=0.3):
+        rng = np.random.default_rng(seed)
+        return ProximityLabels.from_near_mask(rng.random(self.N * (self.N - 1) // 2) < near_frac, self.N)
+
+    def test_accumulated_states_k0_to_40(self):
+        labels = self._labels(1)
+        rng = np.random.default_rng(2)
+        state = TrainerState.empty(self.N)
+        for k in range(41):
+            for beta in (state.bits_done / 2.0 - 0.37, 1.5, float(-k)):
+                _assert_pair_functions_match_reference(labels, state, beta)
+            state = accumulate(state, 2 * rng.integers(0, 2, size=self.N) - 1)
+
+    def test_hand_built_states_any_parity(self):
+        labels = self._labels(3)
+        rng = np.random.default_rng(4)
+        iu = np.triu_indices(self.N, 1)
+        for k in range(41):
+            gram = np.zeros((self.N, self.N), dtype=np.int64)
+            gram[iu] = rng.integers(-k, k + 1, size=iu[0].size)
+            state = TrainerState(gram=gram + gram.T, bits_done=k)
+            _assert_pair_functions_match_reference(labels, state, 0.61 * k - 0.25)
+
+    @pytest.mark.parametrize("y", [[+1, -1, -1], [+1, +1, +1], [-1, -1, -1]])
+    def test_wrong_parity_distances(self, y):
+        labels = _labels_from_y(y)
+        for dists, k in (([1, 1, 1], 1), ([0, 1, 2], 1), ([3, 0, 5], 4), ([5, 2, 1], 3)):
+            state = _state_with_distances(dists, k)
+            _assert_pair_functions_match_reference(labels, state, 0.5)
+
+    @pytest.mark.parametrize("entry", [3, -3, 128, 256, -200, 1000])
+    def test_gram_beyond_bit_count_raises(self, entry):
+        labels = _labels_from_y([+1, -1, +1])
+        gram = np.full((3, 3), 2, dtype=np.int64)
+        gram[0, 2] = gram[2, 0] = entry
+        for call in (
+            lambda s: weight_matrix(labels, s),
+            lambda s: relaxed_loss(labels, s, 0.5),
+            lambda s: empirical_loss(labels, s, 1.0),
+            lambda s: optimize_alpha(labels, s),
+        ):
+            with pytest.raises(ValueError, match="exceeds bit count"):
+                call(TrainerState(gram=gram, bits_done=2))
+
+    def test_bit_count_lowered_after_first_use_raises(self):
+        labels = _labels_from_y([+1, -1, +1])
+        state = _state_with_distances([0, 2, 6], k=3)  # B = 3, 1, -3
+        relaxed_loss(labels, state, 0.0)
+        state.bits_done = 2
+        with pytest.raises(ValueError, match="exceeds bit count"):
+            relaxed_loss(labels, state, 0.0)
+
+
+class TestCondensedPairCache:
+    def test_follows_accumulate_chain(self):
+        rng = np.random.default_rng(6)
+        state = TrainerState.empty(9)
+        assert np.array_equal(_pair_gram(state), _ref_pairs(state))
+        for _ in range(140):  # past the int8 range of B_ij
+            state = accumulate(state, 2 * rng.integers(0, 2, size=9) - 1)
+            assert np.array_equal(_pair_gram(state), _ref_pairs(state))
+        assert _pair_gram(state).dtype == np.int16
+
+    def test_hand_built_state(self):
+        state = _state_with_distances([0, 2, 4, 2, 4, 6], k=3)
+        assert np.array_equal(_pair_gram(state), _ref_pairs(state))
+        after = accumulate(state, np.array([1, -1, 1, 1]))
+        assert np.array_equal(_pair_gram(after), _ref_pairs(after))
+
+    def test_diagonal_edit_after_construction(self):
+        # the in-place edit acceptance criterion 3 makes before relaxed_loss
+        state = TrainerState(gram=np.zeros((4, 4), dtype=np.int64), bits_done=1)
+        state.gram[np.diag_indices(4)] = 1
+        assert np.array_equal(_pair_gram(state), _ref_pairs(state))
+
+    def test_arrays_are_read_only(self):
+        state = accumulate(TrainerState.empty(4), np.array([1, -1, 1, 1]))
+        for arr in (_pair_gram(state), state.gram, TrainerState.empty(3).gram):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0

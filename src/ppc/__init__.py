@@ -23,7 +23,6 @@ from ppc.hashing import (
     encode,
     fit_bit_classifier,
     load_model,
-    predict_bit,
     save_model,
     train_with_hashing,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "optimize_alpha",
     "pack",
     "precision_recall",
-    "predict_bit",
     "psd_shift",
     "query_knn",
     "query_radius",

@@ -226,11 +226,15 @@ def cmd_encode(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.alpha is None and args.k is None:
+        raise ConfigError("query needs --alpha (radius) or --k (kNN)")
+    if args.alpha is not None and args.k is not None:
+        raise ConfigError("pass --alpha or --k, not both")
+    if args.k is not None and args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     packed = index.load_codes(_require(args.codes))
     model = load_model(_require(args.model))
     data = aff.load_dataset(_require(args.data), args.format)
-    if args.alpha is None and args.k is None:
-        raise ConfigError("query needs --alpha (radius) or --k (kNN)")
     queries = index.pack(encode(model, data.features))
     for row in range(queries.n):
         q = queries.words[row]

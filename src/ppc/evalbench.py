@@ -90,8 +90,8 @@ def joint_histogram(
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
     row = np.clip(np.digitize(dist, edges) - 1, 0, bins - 1)
-    counts = np.zeros((bins, codes.p + 1), dtype=np.int64)
-    np.add.at(counts, (row, dh), 1)
+    width = codes.p + 1
+    counts = np.bincount(row * width + dh, minlength=bins * width).reshape(bins, width)
     return JointHistogram(
         counts=counts,
         dist_edges=edges,

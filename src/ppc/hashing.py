@@ -28,6 +28,8 @@ from ppc.trainer import (
 )
 
 MODEL_VERSION = 1
+# rows of query features whose kernel values encode() holds at once
+ENCODE_BLOCK = 4096
 
 
 @dataclass
@@ -218,28 +220,29 @@ def _predict_from_kernel(K: np.ndarray, coef: np.ndarray, bias: float) -> np.nda
     return np.where(K @ coef + bias >= 0, 1, -1).astype(np.int8)
 
 
-def predict_bit(clf: KernelClassifier, x: np.ndarray) -> int:
-    """±1 prediction for a single feature vector; sign(0) -> +1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (clf.centers.shape[1],):
-        raise ValueError("feature dimension does not match classifier centers")
-    K = _kernel_matrix(x[None, :], clf.centers, clf.bandwidth)
-    return int(_predict_from_kernel(K, clf.coefficients, clf.bias)[0])
-
-
 def encode(model: HashModel, X: np.ndarray) -> np.ndarray:
-    """p x n_query ±1 codes for a matrix of query features."""
+    """p x n_query ±1 codes for a matrix of query features.
+
+    Rows are encoded ENCODE_BLOCK at a time, so memory holds one block of
+    kernel values per distinct centers array, not n x centers.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    rows = []
-    cache: dict[tuple[int, float], np.ndarray] = {}
-    for clf in model.classifiers:
-        key = (id(clf.centers), clf.bandwidth)
-        if key not in cache:
-            if X.shape[1] != clf.centers.shape[1]:
-                raise ValueError("query feature dimension does not match model centers")
-            cache[key] = _kernel_matrix(X, clf.centers, clf.bandwidth)
-        rows.append(_predict_from_kernel(cache[key], clf.coefficients, clf.bias))
-    return np.stack(rows)
+    n = X.shape[0]
+    codes = np.empty((model.p, n), dtype=np.int8)
+    # one pass even for n == 0, so the dimension check still runs
+    for lo in range(0, max(n, 1), ENCODE_BLOCK):
+        block = X[lo : lo + ENCODE_BLOCK]
+        cache: dict[tuple[int, float], np.ndarray] = {}
+        for j, clf in enumerate(model.classifiers):
+            key = (id(clf.centers), clf.bandwidth)
+            if key not in cache:
+                if block.shape[1] != clf.centers.shape[1]:
+                    raise ValueError("query feature dimension does not match model centers")
+                cache[key] = _kernel_matrix(block, clf.centers, clf.bandwidth)
+            # one matvec per bit: a stacked K @ coef.T product sums in another
+            # order and could flip margins near zero
+            codes[j, lo : lo + ENCODE_BLOCK] = _predict_from_kernel(cache[key], clf.coefficients, clf.bias)
+    return codes
 
 
 def train_with_hashing(

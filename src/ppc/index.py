@@ -59,7 +59,7 @@ def unpack(packed: PackedCodes) -> np.ndarray:
     return np.where(bits > 0, 1, -1).astype(np.int8).T
 
 
-def _check_same_shape(a: PackedCodes | np.ndarray, b: np.ndarray, p: int):
+def _check_same_shape(b: np.ndarray, p: int):
     w = (p + 63) // 64
     if np.asarray(b).shape[-1] != w:
         raise ValueError("word count does not match code length p")
@@ -71,15 +71,29 @@ def hamming(a: np.ndarray, b: np.ndarray, p: int) -> int:
     b = np.asarray(b, dtype=np.uint64)
     if a.shape != b.shape:
         raise ValueError("packed codes differ in word count")
-    _check_same_shape(a, b, p)
+    _check_same_shape(b, p)
     return 2 * int(np.bitwise_count(a ^ b).sum())
+
+
+def _popcounts(index: PackedCodes, q: np.ndarray) -> np.ndarray:
+    """Undoubled distances from one packed query to every indexed code.
+
+    Summed one word column at a time in uint8 (up to 3 words) or uint16
+    (up to 1023 words), so no (n, w) buffer or int64 copy is made.
+    """
+    q = np.asarray(q, dtype=np.uint64)
+    _check_same_shape(q, index.p)
+    w = index.words.shape[1]
+    dtype = np.uint8 if w < 4 else np.uint16 if w < 1024 else np.int64
+    h = np.bitwise_count(index.words[:, 0] ^ q[0]).astype(dtype, copy=False)
+    for j in range(1, w):
+        h += np.bitwise_count(index.words[:, j] ^ q[j])
+    return h
 
 
 def hamming_to_all(index: PackedCodes, q: np.ndarray) -> np.ndarray:
     """Doubled distances from one packed query to every indexed code."""
-    q = np.asarray(q, dtype=np.uint64)
-    _check_same_shape(index, q, index.p)
-    return 2 * np.bitwise_count(index.words ^ q[None, :]).sum(axis=1).astype(np.int64)
+    return 2 * _popcounts(index, q).astype(np.int64)
 
 
 def pair_hamming(packed: PackedCodes, block: int = 256) -> np.ndarray:
@@ -98,20 +112,31 @@ def pair_hamming(packed: PackedCodes, block: int = 256) -> np.ndarray:
     return out
 
 
+def _sorted_ids(index: PackedCodes, h: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Ids of the candidate rows in ascending (distance, id) order."""
+    ids = index.ids[cand]
+    return ids[np.lexsort((ids, h[cand]))]
+
+
 def query_radius(index: PackedCodes, q: np.ndarray, alpha: float) -> np.ndarray:
     """Ids with distance <= alpha, ascending by (distance, id)."""
-    d = hamming_to_all(index, q)
-    keep = d <= alpha
-    ids = index.ids[keep]
-    order = np.lexsort((ids, d[keep]))
-    return ids[order]
+    h = _popcounts(index, q)
+    # halving a float is exact, so this is the doubled test 2 * h <= alpha
+    # without widening h (nan and -inf select nothing, inf selects all)
+    return _sorted_ids(index, h, np.flatnonzero(h <= alpha / 2))
 
 
 def query_knn(index: PackedCodes, q: np.ndarray, k: int) -> np.ndarray:
-    """k nearest ids, ties broken by ascending id; k > n returns all."""
-    d = hamming_to_all(index, q)
-    order = np.lexsort((index.ids, d))
-    return index.ids[order[: min(k, index.n)]]
+    """k nearest ids, ties broken by ascending id; k > n returns all.
+
+    Distances take only p + 1 values, so the k-th smallest, t, comes from
+    their histogram; only the codes at distance <= t are sorted.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    h = _popcounts(index, q)
+    t = np.searchsorted(np.cumsum(np.bincount(h)), k)
+    return _sorted_ids(index, h, np.flatnonzero(h <= t))[:k]
 
 
 # ---------------------------------------------------------------------------

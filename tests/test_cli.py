@@ -189,6 +189,27 @@ class TestExitCodes:
                    "--config", str(cfgpath)])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--k", "0"], "--k must be at least 1"),
+            (["--k", "-3"], "--k must be at least 1"),
+            (["--alpha", "2", "--k", "3"], "pass --alpha or --k, not both"),
+        ],
+    )
+    def test_bad_query_flags_are_3(self, tmp_path, blob_csv, capsys, flags, message):
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(blob_csv), "--out", str(model),
+                     "--bits", "3", "--seed", "1", "--affinity", "class"]) == 0
+        capsys.readouterr()
+        rc = main(["query", "--codes", str(model.with_suffix(".ppcb")), "--model", str(model),
+                   "--data", str(blob_csv), *flags])
+        assert rc == 3
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert captured.out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"ppc: {message}")
+
     def test_runtime_error_is_1(self, tmp_path, blob_csv, capsys):
         # corrupt codes file -> runtime failure inside eval
         bad = tmp_path / "bad.ppcb"

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from ppc.affinity import Dataset, ProximityLabels, synth_2d
+from ppc.affinity import Dataset, ProximityLabels, pairwise_distances, synth_2d
 from ppc.evalbench import (
     JointHistogram,
     auc,
@@ -15,7 +15,7 @@ from ppc.evalbench import (
     write_histogram_csv,
     write_pr_csv,
 )
-from ppc.index import pack
+from ppc.index import pack, pair_hamming
 
 
 def _perfect_codes(p, n_near_block):
@@ -147,6 +147,19 @@ class TestJointHistogram:
         hist = joint_histogram(pack(C), data, bins=12)
         assert hist.counts.sum() == 35 * 34 // 2
         assert hist.hamming_values.tolist() == list(range(0, 21, 2))
+
+    @pytest.mark.parametrize("p,bins", [(1, 3), (10, 12), (33, 7)])
+    def test_counts_equal_add_at_reference(self, p, bins):
+        data = synth_2d(60, seed=p)
+        rng = np.random.default_rng(7 + p)
+        packed = pack((2 * rng.integers(0, 2, size=(p, 60)) - 1).astype(np.int8))
+        hist = joint_histogram(packed, data, bins=bins)
+        # reference: scatter-add one count per pair into (distance bin, d_H / 2)
+        row = np.clip(np.digitize(pairwise_distances(data, "euclidean"), hist.dist_edges) - 1, 0, bins - 1)
+        ref = np.zeros((bins, p + 1), dtype=np.int64)
+        np.add.at(ref, (row, pair_hamming(packed) // 2), 1)
+        assert hist.counts.dtype == np.int64
+        assert np.array_equal(hist.counts, ref)
 
 
 class TestCsvEmission:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ppc.affinity import Dataset, labels_by_class, synth_blobs
+from ppc import hashing
 from ppc.hashing import (
     HashModel,
     KernelClassifier,
@@ -12,11 +13,15 @@ from ppc.hashing import (
     fit_bit_classifier,
     load_model,
     median_bandwidth,
-    predict_bit,
     save_model,
     train_with_hashing,
 )
 from ppc.trainer import TrainConfig, train
+
+
+def _encode_one(clf, x):
+    """The ±1 code of one feature vector under a one-bit model."""
+    return int(encode(HashModel([clf], alpha=0.0, p=1), x)[0, 0])
 
 
 def _two_blobs(n=200, d=2, seed=0, sep=10.0):
@@ -67,10 +72,12 @@ class TestFitBitClassifier:
         fit = fit_bit_classifier(np.array([[1.0, 2.0]]), np.array([-1]), KernelConfig())
         assert fit.accuracy == 1.0
         assert fit.classifier.bias == -1.0
-        assert predict_bit(fit.classifier, np.array([9.0, 9.0])) == -1
+        assert _encode_one(fit.classifier, np.array([9.0, 9.0])) == -1
 
 
 class TestPredictBit:
+    """Single-row predictions through encode; sign(0) -> +1."""
+
     def test_dominant_center(self):
         clf = KernelClassifier(
             centers=np.array([[0.0, 0.0], [100.0, 100.0]]),
@@ -78,14 +85,14 @@ class TestPredictBit:
             bias=0.0,
             bandwidth=1.0,
         )
-        assert predict_bit(clf, np.array([0.1, 0.0])) == 1
-        assert predict_bit(clf, np.array([99.9, 100.0])) == -1
+        assert _encode_one(clf, np.array([0.1, 0.0])) == 1
+        assert _encode_one(clf, np.array([99.9, 100.0])) == -1
 
     def test_constant_classifier(self):
         clf = KernelClassifier(
             centers=np.zeros((3, 2)), coefficients=np.zeros(3), bias=-1.0, bandwidth=1.0
         )
-        assert predict_bit(clf, np.array([42.0, -7.0])) == -1
+        assert _encode_one(clf, np.array([42.0, -7.0])) == -1
 
     def test_perfect_fit_reproduces_targets(self):
         data = _two_blobs(100, 2, seed=6)
@@ -100,7 +107,7 @@ class TestPredictBit:
             centers=np.zeros((2, 3)), coefficients=np.zeros(2), bias=1.0, bandwidth=1.0
         )
         with pytest.raises(ValueError):
-            predict_bit(clf, np.zeros(2))
+            _encode_one(clf, np.zeros(2))
 
 
 class TestEncode:
@@ -125,6 +132,56 @@ class TestEncode:
         q = np.vstack([data.features[5], data.features[5]])
         codes = encode(model, q)
         assert np.array_equal(codes[:, 0], codes[:, 1])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_blocked_equals_single_shot(self, monkeypatch, shared):
+        B = 16
+        rng = np.random.default_rng(16)
+        centers = rng.normal(size=(9, 3))
+        classifiers = [
+            KernelClassifier(
+                centers=centers if shared else centers + 0.1 * j,
+                coefficients=rng.standard_normal(9),
+                bias=float(rng.normal(scale=0.1)),
+                bandwidth=1.5 if shared else 1.0 + 0.25 * j,
+            )
+            for j in range(5)
+        ]
+        model = HashModel(classifiers, alpha=0.0, p=5)
+        for n in (1, B - 1, B, B + 1, 2 * B + 3):
+            X = rng.normal(size=(n, 3))
+            monkeypatch.setattr(hashing, "ENCODE_BLOCK", n)
+            single = encode(model, X)
+            monkeypatch.setattr(hashing, "ENCODE_BLOCK", B)
+            blocked = encode(model, X)
+            assert blocked.shape == (5, n) and blocked.dtype == np.int8
+            assert np.array_equal(blocked, single)
+
+    def test_default_block_equals_single_shot(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        clf = KernelClassifier(
+            centers=rng.normal(size=(4, 2)), coefficients=rng.standard_normal(4), bias=0.0, bandwidth=1.0
+        )
+        model = HashModel([clf, clf], alpha=0.0, p=2)
+        X = rng.normal(size=(hashing.ENCODE_BLOCK + 1, 2))
+        blocked = encode(model, X)
+        monkeypatch.setattr(hashing, "ENCODE_BLOCK", X.shape[0])
+        assert np.array_equal(blocked, encode(model, X))
+
+    @pytest.mark.parametrize("X", [np.zeros((0, 2)), np.zeros((5, 2)), np.zeros(0)])
+    def test_dimension_mismatch_even_when_empty(self, X):
+        clf = KernelClassifier(
+            centers=np.zeros((2, 3)), coefficients=np.zeros(2), bias=1.0, bandwidth=1.0
+        )
+        with pytest.raises(ValueError, match="dimension"):
+            encode(HashModel([clf], alpha=0.0, p=1), X)
+
+    def test_empty_query_set(self):
+        clf = KernelClassifier(
+            centers=np.zeros((2, 3)), coefficients=np.zeros(2), bias=1.0, bandwidth=1.0
+        )
+        codes = encode(HashModel([clf, clf], alpha=0.0, p=2), np.zeros((0, 3)))
+        assert codes.shape == (2, 0) and codes.dtype == np.int8
 
     def test_model_needs_at_least_one_bit(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,21 @@ def _random_codes(p, n, seed):
     return (2 * rng.integers(0, 2, size=(p, n)) - 1).astype(np.int8)
 
 
+def _reference_radius(index, q, alpha):
+    """Full-scan reference: lexsort every hit by (doubled distance, id)."""
+    d = hamming_to_all(index, q)
+    keep = d <= alpha
+    ids = index.ids[keep]
+    return ids[np.lexsort((ids, d[keep]))]
+
+
+def _reference_knn(index, q, k):
+    """Full-scan reference: lexsort all n codes by (doubled distance, id)."""
+    d = hamming_to_all(index, q)
+    order = np.lexsort((index.ids, d))
+    return index.ids[order[: min(k, index.n)]]
+
+
 class TestPackUnpack:
     def test_single_bit_layout(self):
         C = np.array([[1, -1]], dtype=np.int8)
@@ -154,6 +169,62 @@ class TestQueries:
         outside = {i for i in range(20) if d[i] > 8}
         assert inside | outside == set(range(20))
         assert not (inside & outside)
+
+
+def _assert_queries_match_reference(index, queries):
+    n, p = index.n, index.p
+    for q in queries:
+        for k in (1, 2, n - 1, n, n + 5):
+            if k >= 1:
+                assert np.array_equal(query_knn(index, q, k), _reference_knn(index, q, k))
+        for alpha in (-1, 0, 1, 1.5, 2, 2 * p, 2 * p + 1, np.inf, -np.inf, np.nan):
+            assert np.array_equal(query_radius(index, q, alpha), _reference_radius(index, q, alpha))
+
+
+class TestQueryExactness:
+    """The selecting kNN/radius queries equal the full-scan lexsort order."""
+
+    @pytest.mark.parametrize("p", [1, 7, 63, 64, 65, 130])
+    def test_random_codes(self, p):
+        index = pack(_random_codes(p, 300, seed=p))
+        queries = pack(_random_codes(p, 4, seed=1000 + p)).words
+        _assert_queries_match_reference(index, list(queries) + [index.words[0]])
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_heavy_ties(self, p):
+        # n >> 2^p: every distance is shared by many codes
+        index = pack(_random_codes(p, 200, seed=20 + p))
+        _assert_queries_match_reference(index, index.words[:6])
+
+    def test_permuted_ids_through_codes_file(self, tmp_path):
+        rng = np.random.default_rng(30)
+        ids = rng.permutation(np.arange(1000, 1250))
+        packed = pack(_random_codes(6, 250, seed=31), ids=ids)
+        path = tmp_path / "perm.ppcb"
+        save_codes(packed, path)
+        index = load_codes(path)
+        assert np.array_equal(index.ids, ids)
+        _assert_queries_match_reference(index, index.words[:8])
+
+    def test_duplicate_ids_keep_stable_order(self):
+        ids = np.repeat(np.arange(20), 5)[::-1].copy()
+        index = pack(_random_codes(4, 100, seed=32), ids=ids)
+        _assert_queries_match_reference(index, index.words[:5])
+
+    @pytest.mark.parametrize("p", [3, 64, 192, 256, 65600])
+    def test_popcounts_match_per_pair_hamming(self, p):
+        C = _random_codes(p, 40, seed=33)
+        C[:, 2] = -C[:, 1]  # distance p from row 1: the widest count
+        index = pack(C)
+        d = hamming_to_all(index, index.words[1])
+        assert d.dtype == np.int64
+        assert d.tolist() == [hamming(index.words[1], index.words[i], p) for i in range(40)]
+
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_knn_rejects_k_below_one(self, k):
+        index = pack(_random_codes(8, 5, seed=34))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            query_knn(index, index.words[0], k)
 
 
 class TestCodesFile:

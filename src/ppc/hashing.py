@@ -8,7 +8,9 @@ get accumulated, so the next bit corrects the classifier's mistakes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import warnings
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,9 @@ from ppc.trainer import (
 MODEL_VERSION = 1
 # rows of query features whose kernel values encode() holds at once
 ENCODE_BLOCK = 4096
+# Armijo sufficient-decrease fraction and backtracking cap of the Newton fit
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -39,8 +44,8 @@ class KernelConfig:
     bandwidth: float | None = None  # None -> median pairwise distance
     ridge: float = 1e-3
     max_centers: int = 1000
-    max_iter: int = 500
-    tol: float = 1e-5
+    max_iter: int = 500  # cap on Newton steps per bit
+    tol: float = 1e-5  # converged when max |gradient| <= tol
     bandwidth_sample: int = 1000
 
     def __post_init__(self):
@@ -48,6 +53,8 @@ class KernelConfig:
             raise ValueError("bandwidth must be positive")
         if self.ridge < 0 or self.max_centers < 1 or self.max_iter < 1:
             raise ValueError("invalid kernel config")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"kernel tol must be finite and non-negative, got {self.tol}")
 
 
 @dataclass
@@ -74,6 +81,7 @@ class FitResult:
     accuracy: float
     converged: bool
     iterations: int
+    grad_max: float = 0.0  # max |gradient| of the penalized loss where the solver stopped (0: no solve)
 
 
 @dataclass
@@ -110,62 +118,85 @@ def _kernel_matrix(X: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarr
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 
-def _spectral_norm(K1: np.ndarray, iters: int = 60) -> float:
-    """Power-iteration estimate of the largest singular value."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(K1.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        u = K1 @ v
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return 0.0
-        w = K1.T @ (u / nu)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(K1 @ v))
+def _fit_logistic(K: np.ndarray, targets: np.ndarray, cfg: KernelConfig):
+    """Ridge-penalized kernel logistic regression by truncated Newton.
 
-
-def _fit_logistic(K: np.ndarray, targets: np.ndarray, cfg: KernelConfig, lipschitz: float | None):
-    """Ridge-penalized kernel logistic regression by accelerated full-gradient
-    descent (deterministic: zero start, fixed 1/L step)."""
+    Minimizes mean(log(1 + exp(-t (K w + b)))) + ridge/2 ||w||^2 from zero
+    (deterministic). Each Newton step solves H d = -g by conjugate gradients
+    on Hessian-vector products, to an Eisenstat-Walker forcing tolerance,
+    then backtracks along d until the Armijo condition holds, so the
+    objective never rises. Stops when max|g| <= tol or after max_iter steps.
+    Returns (w, b, converged, steps, max|g|).
+    """
     n, m = K.shape
     t = targets.astype(np.float64)
-    if lipschitz is None:
-        s = _spectral_norm(np.hstack([K, np.ones((n, 1))]))
-        lipschitz = (s * s) / (4.0 * n) + cfg.ridge
-    step = 1.0 / max(lipschitz, 1e-12)
-
-    theta = np.zeros(m + 1)
-    look = theta.copy()
-    t_acc = 1.0
-    best = theta
-    best_loss = np.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        f = K @ look[:m] + look[m]
-        margin = t * f
-        s_neg = expit(-margin)
+    w = np.zeros(m)
+    b = 0.0
+    margins = np.zeros(n)  # K w + b
+    loss = float(np.log(2.0))
+    eta, gnorm_prev = 0.5, 0.0
+    steps = 0
+    while True:
+        q = expit(-t * margins)
+        r = t * q / n
         grad = np.empty(m + 1)
-        grad[:m] = -(K.T @ (t * s_neg)) / n + cfg.ridge * look[:m]
-        grad[m] = -(t * s_neg).sum() / n
-        new = look - step * grad
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-        look = new + ((t_acc - 1.0) / t_next) * (new - theta)
-        theta, t_acc = new, t_next
-
-        loss = float(np.logaddexp(0.0, -(t * (K @ theta[:m] + theta[m]))).mean()) + 0.5 * cfg.ridge * float(
-            theta[:m] @ theta[:m]
-        )
-        if loss < best_loss:
-            best, best_loss = theta.copy(), loss
-        if float(np.abs(grad).max()) <= cfg.tol:
-            converged = True
+        grad[:m] = cfg.ridge * w - K.T @ r
+        grad[m] = -r.sum()
+        grad_max = float(np.abs(grad).max())
+        if grad_max <= cfg.tol or steps == cfg.max_iter:
             break
-    return best[:m], float(best[m]), converged, it
+        steps += 1
+
+        # Eisenstat-Walker choice 2 (gamma 0.9, exponent 2) with its safeguard
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm_prev > 0.0:
+            floor = 0.9 * eta * eta
+            eta = 0.9 * (gnorm / gnorm_prev) ** 2
+            if floor > 0.1:
+                eta = max(eta, floor)
+            eta = min(eta, 0.9)
+        gnorm_prev = gnorm
+
+        # CG on H = [K^T S K + ridge I, K^T S 1; 1^T S K, 1^T S 1], S = p(1-p)/n
+        s = q * (1.0 - q) / n
+        d = np.zeros(m + 1)
+        res = -grad
+        p = res.copy()
+        rr = float(res @ res)
+        stop = (eta * gnorm) ** 2
+        for _ in range(m + 1):
+            u = s * (K @ p[:m] + p[m])
+            Hp = np.empty(m + 1)
+            Hp[:m] = K.T @ u + cfg.ridge * p[:m]
+            Hp[m] = u.sum()
+            curv = float(p @ Hp)
+            if curv <= 0.0:  # flat direction (ridge 0, saturated margins)
+                if not d.any():
+                    d = res
+                break
+            a = rr / curv
+            d += a * p
+            res -= a * Hp
+            rr_next = float(res @ res)
+            if rr_next <= stop:
+                break
+            p = res + (rr_next / rr) * p
+            rr = rr_next
+
+        slope = float(grad @ d)
+        Kd = K @ d[:m] + d[m]
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_try = w + step * d[:m]
+            m_try = margins + step * Kd
+            loss_try = float(np.logaddexp(0.0, -t * m_try).mean()) + 0.5 * cfg.ridge * float(w_try @ w_try)
+            if loss_try <= loss + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no decrease left at float precision: stop unconverged
+        w, b, margins, loss = w_try, b + step * d[m], m_try, loss_try
+    return w, b, grad_max <= cfg.tol, steps, grad_max
 
 
 def fit_bit_classifier(
@@ -175,14 +206,14 @@ def fit_bit_classifier(
     seed: int = 0,
     centers_idx: np.ndarray | None = None,
     _gram: np.ndarray | None = None,
-    _lipschitz: float | None = None,
 ) -> FitResult:
     """Fit one bit's classifier on (features, ±1 targets).
 
     Accepts a Dataset or a bare feature matrix (the latter admits the
     single-sample case). Single-class targets produce a constant
-    classifier (zero coefficients, bias = the class sign). Non-convergence
-    within the iteration cap returns the best iterate with converged=False.
+    classifier (zero coefficients, bias = the class sign). A fit that
+    stops at the Newton step cap returns its last iterate, whose penalized
+    loss is the lowest reached, with converged=False.
     """
     t = np.asarray(target_bits)
     X = data.features if isinstance(data, Dataset) else np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -209,11 +240,13 @@ def fit_bit_classifier(
         return FitResult(classifier=clf, accuracy=1.0, converged=True, iterations=0)
 
     K = _gram if _gram is not None else _kernel_matrix(X, centers, sigma)
-    coef, bias, converged, iters = _fit_logistic(K, t, cfg, _lipschitz)
+    coef, bias, converged, iters, grad_max = _fit_logistic(K, t, cfg)
     clf = KernelClassifier(centers=centers, coefficients=coef, bias=bias, bandwidth=sigma)
     preds = _predict_from_kernel(K, coef, bias)
     accuracy = float(np.mean(preds == t))
-    return FitResult(classifier=clf, accuracy=accuracy, converged=converged, iterations=iters)
+    return FitResult(
+        classifier=clf, accuracy=accuracy, converged=converged, iterations=iters, grad_max=grad_max
+    )
 
 
 def _predict_from_kernel(K: np.ndarray, coef: np.ndarray, bias: float) -> np.ndarray:
@@ -272,15 +305,7 @@ def train_with_hashing(
             data.features, derive_seed(config.seed, "bandwidth"), kernel.bandwidth_sample
         )
     K = _kernel_matrix(data.features, data.features[centers_idx], sigma)
-    lipschitz = (_spectral_norm(np.hstack([K, np.ones((n, 1))])) ** 2) / (4.0 * n) + kernel.ridge
-    resolved = KernelConfig(
-        bandwidth=sigma,
-        ridge=kernel.ridge,
-        max_centers=kernel.max_centers,
-        max_iter=kernel.max_iter,
-        tol=kernel.tol,
-        bandwidth_sample=kernel.bandwidth_sample,
-    )
+    resolved = replace(kernel, bandwidth=sigma)
 
     state = TrainerState.empty(n)
     classifiers: list[KernelClassifier] = []
@@ -294,8 +319,14 @@ def train_with_hashing(
             seed=config.seed,
             centers_idx=centers_idx,
             _gram=K,
-            _lipschitz=lipschitz,
         )
+        if not fit.converged:
+            warnings.warn(
+                f"bit {state.bits_done + 1}: classifier fit stopped unconverged after "
+                f"{fit.iterations} Newton steps, max|grad| {fit.grad_max:.3g} > tol {resolved.tol:g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         corrected = _predict_from_kernel(K, fit.classifier.coefficients, fit.classifier.bias)
         state = accumulate(state, corrected)
         result = optimize_alpha(labels, state)

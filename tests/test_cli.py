@@ -189,6 +189,15 @@ class TestExitCodes:
                    "--config", str(cfgpath)])
         assert rc == 3
 
+    @pytest.mark.parametrize("tol", ["-1", "NaN"])
+    def test_bad_kernel_tol_is_3(self, tmp_path, blob_csv, capsys, tol):
+        cfgpath = tmp_path / "c.json"
+        cfgpath.write_text('{"kernel": {"tol": %s}}' % tol)
+        rc = main(["train", "--data", str(blob_csv), "--out", str(tmp_path / "m.json"),
+                   "--config", str(cfgpath)])
+        assert rc == 3
+        assert "tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags,message",
         [

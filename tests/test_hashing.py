@@ -1,7 +1,10 @@
 """Kernel bit classifiers, error-correcting training, model file format."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from ppc.affinity import Dataset, labels_by_class, synth_blobs
 from ppc import hashing
@@ -32,6 +35,125 @@ def _two_blobs(n=200, d=2, seed=0, sep=10.0):
     )
     labels = np.array([0] * half + [1] * (n - half))
     return Dataset(features=feats, class_labels=labels)
+
+
+def _nesterov_reference(K, targets, cfg):
+    """The former fit: accelerated gradient descent with a fixed 1/L step from
+    zero, run to max_iter unless max|grad| <= tol; returns the best iterate
+    seen and its penalized loss."""
+    n, m = K.shape
+    t = targets.astype(np.float64)
+    K1 = np.hstack([K, np.ones((n, 1))])
+    v = np.random.default_rng(0).standard_normal(m + 1)
+    v /= np.linalg.norm(v)
+    for _ in range(60):  # power iteration for the largest singular value
+        w = K1.T @ (K1 @ v)
+        v = w / np.linalg.norm(w)
+    s = float(np.linalg.norm(K1 @ v))
+    step = 1.0 / ((s * s) / (4.0 * n) + cfg.ridge)
+
+    theta = np.zeros(m + 1)
+    look = theta.copy()
+    t_acc = 1.0
+    best, best_loss = theta, np.inf
+    for _ in range(cfg.max_iter):
+        s_neg = expit(-t * (K @ look[:m] + look[m]))
+        grad = np.empty(m + 1)
+        grad[:m] = -(K.T @ (t * s_neg)) / n + cfg.ridge * look[:m]
+        grad[m] = -(t * s_neg).sum() / n
+        new = look - step * grad
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
+        look = new + ((t_acc - 1.0) / t_next) * (new - theta)
+        theta, t_acc = new, t_next
+        loss = _penalized_loss(K, t, theta[:m], theta[m], cfg.ridge)
+        if loss < best_loss:
+            best, best_loss = theta.copy(), loss
+        if float(np.abs(grad).max()) <= cfg.tol:
+            break
+    return best[:m], float(best[m]), best_loss
+
+
+def _penalized_loss(K, t, w, b, ridge):
+    return float(np.logaddexp(0.0, -t * (K @ w + b)).mean()) + 0.5 * ridge * float(w @ w)
+
+
+def _grad_max(K, t, w, b, ridge):
+    r = t * expit(-t * (K @ w + b)) / K.shape[0]
+    return max(float(np.abs(ridge * w - K.T @ r).max()), abs(float(r.sum())))
+
+
+def _blob_problem():
+    data = _two_blobs(200, 2, seed=21, sep=3.0)
+    targets = np.where(data.class_labels == 0, 1, -1).astype(np.int8)
+    centers = data.features[np.random.default_rng(22).choice(200, size=80, replace=False)]
+    sigma = median_bandwidth(data.features, seed=0)
+    return hashing._kernel_matrix(data.features, centers, sigma), targets
+
+
+def _random_problem():
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(300, 4))
+    targets = np.where(rng.random(300) < 0.5, 1, -1).astype(np.int8)
+    centers = X[np.sort(rng.choice(300, size=100, replace=False))]
+    return hashing._kernel_matrix(X, centers, median_bandwidth(X, seed=0)), targets
+
+
+class TestFitLogistic:
+    """The truncated Newton fit against the former accelerated-gradient fit."""
+
+    @pytest.mark.parametrize("problem", [_blob_problem, _random_problem])
+    def test_reaches_tolerance_below_reference_objective(self, problem):
+        K, targets = problem()
+        cfg = KernelConfig()
+        t = targets.astype(np.float64)
+        w, b, converged, steps, grad_max = hashing._fit_logistic(K, targets, cfg)
+        _, _, ref_loss = _nesterov_reference(K, targets, cfg)
+        assert converged and 1 <= steps <= cfg.max_iter
+        assert grad_max <= cfg.tol
+        assert _grad_max(K, t, w, b, cfg.ridge) <= cfg.tol
+        assert _penalized_loss(K, t, w, b, cfg.ridge) <= ref_loss
+
+        again = hashing._fit_logistic(K, targets, cfg)
+        assert np.array_equal(again[0], w) and again[1] == b
+
+    @pytest.mark.parametrize("sep", [10.0, 4.0])
+    def test_zero_ridge_separable(self, sep):
+        data = _two_blobs(200, 2, seed=24, sep=sep)
+        targets = np.where(data.class_labels == 0, 1, -1).astype(np.int8)
+        K = hashing._kernel_matrix(data.features, data.features[::3], median_bandwidth(data.features, seed=0))
+        cfg = KernelConfig(ridge=0.0, max_iter=50)
+        w, b, converged, steps, grad_max = hashing._fit_logistic(K, targets, cfg)
+        assert np.all(np.isfinite(w)) and np.isfinite(b)
+        assert steps <= cfg.max_iter
+        true_max = _grad_max(K, targets.astype(np.float64), w, b, 0.0)
+        assert converged == (true_max <= cfg.tol)
+        assert np.isclose(grad_max, true_max, rtol=1e-6, atol=1e-12)
+        assert np.all(np.where(K @ w + b >= 0, 1, -1) == targets)
+
+    def test_backtracking_keeps_loss_monotone(self):
+        # separable, widely scaled features: here undamped Newton steps
+        # overshoot from step 14 on and the loss blows up
+        rng = np.random.default_rng(141)
+        m = int(rng.integers(1, 5))
+        K = rng.normal(size=(40, m)) * rng.choice([1, 10, 100])
+        targets = np.where(K @ rng.normal(size=m) + rng.normal() >= 0, 1, -1).astype(np.int8)
+        t = targets.astype(np.float64)
+        losses = []
+        for cap in range(1, 40):
+            w, b, converged, steps, _ = hashing._fit_logistic(K, targets, KernelConfig(max_iter=cap))
+            assert steps == cap
+            losses.append(_penalized_loss(K, t, w, b, KernelConfig().ridge))
+            if converged:
+                break
+        assert converged
+        assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+
+    def test_step_cap_reports_unconverged(self):
+        K, targets = _random_problem()
+        w, b, converged, steps, grad_max = hashing._fit_logistic(K, targets, KernelConfig(max_iter=1))
+        assert not converged and steps == 1
+        assert grad_max > KernelConfig().tol
+        assert np.isclose(grad_max, _grad_max(K, targets.astype(np.float64), w, b, KernelConfig().ridge))
 
 
 class TestFitBitClassifier:
@@ -228,6 +350,37 @@ class TestTrainWithHashing:
         test_rate = violated / test_labels.num_pairs
         train_rate = state.loss_history[-1].empirical / labels.num_pairs
         assert test_rate <= max(2.0 * train_rate, 0.02)
+
+    def test_unconverged_fit_warns_once_per_bit(self):
+        data = _two_blobs(120, 2, seed=25, sep=3.0)
+        labels = labels_by_class(data)
+        cfg = TrainConfig(max_bits=3, seed=6, target_empirical_loss=-1)
+        with pytest.warns(RuntimeWarning) as record:
+            model, _ = train_with_hashing(data, labels, cfg, KernelConfig(max_centers=40, max_iter=1))
+        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+        assert len(messages) == model.p == 3
+        for bit, message in enumerate(messages, start=1):
+            assert message.startswith(f"bit {bit}: classifier fit stopped unconverged after 1 Newton steps")
+            assert "max|grad|" in message
+
+    def test_default_config_converges_silently(self):
+        data = _two_blobs(120, 2, seed=26, sep=3.0)
+        labels = labels_by_class(data)
+        cfg = TrainConfig(max_bits=4, seed=7, target_empirical_loss=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model, _ = train_with_hashing(data, labels, cfg, KernelConfig())
+        assert model.p == 4
+
+
+class TestKernelConfig:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf"), float("-inf")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            KernelConfig(tol=tol)
+
+    def test_zero_tol_allowed(self):
+        assert KernelConfig(tol=0.0).tol == 0.0
 
 
 class TestModelFile:

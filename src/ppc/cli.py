@@ -216,8 +216,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_input(load, path: str):
+    """load(path), with a corrupt or truncated file reported as a validation error."""
+    try:
+        return load(_require(path))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_encode(args) -> int:
-    model = load_model(_require(args.model))
+    model = _load_input(load_model, args.model)
     data = aff.load_dataset(_require(args.data), args.format)
     codes = encode(model, data.features)
     index.save_codes(index.pack(codes, ids=data.ids), args.out)
@@ -232,8 +240,8 @@ def cmd_query(args) -> int:
         raise ConfigError("pass --alpha or --k, not both")
     if args.k is not None and args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
-    packed = index.load_codes(_require(args.codes))
-    model = load_model(_require(args.model))
+    packed = _load_input(index.load_codes, args.codes)
+    model = _load_input(load_model, args.model)
     data = aff.load_dataset(_require(args.data), args.format)
     queries = index.pack(encode(model, data.features))
     for row in range(queries.n):

@@ -49,9 +49,11 @@ class KernelConfig:
     bandwidth_sample: int = 1000
 
     def __post_init__(self):
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.ridge < 0 or self.max_centers < 1 or self.max_iter < 1:
+        if self.bandwidth is not None and not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"kernel bandwidth must be finite and positive, got {self.bandwidth}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"kernel ridge must be finite and non-negative, got {self.ridge}")
+        if self.max_centers < 1 or self.max_iter < 1:
             raise ValueError("invalid kernel config")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"kernel tol must be finite and non-negative, got {self.tol}")
@@ -71,8 +73,8 @@ class KernelClassifier:
             raise ValueError("need at least one kernel center")
         if self.coefficients.shape != (self.centers.shape[0],):
             raise ValueError("coefficient count must match center count")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
 
 @dataclass
@@ -384,25 +386,38 @@ def save_model(model: HashModel, path: str | Path):
 
 
 def load_model(path: str | Path) -> HashModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model file; a missing or invalid field raises ValueError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: model file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model file must hold a JSON object")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    if doc.get("kernel", {}).get("type") != "gaussian":
+    if _model_field(path, "kernel.type", lambda: doc["kernel"].get("type")) != "gaussian":
         raise ValueError(f"{path}: unsupported kernel type")
-    sigma = float(doc["kernel"]["sigma"])
-    centers = np.asarray(doc["centers"], dtype=np.float64)
-    classifiers = [
-        KernelClassifier(
-            centers=centers,
-            coefficients=np.asarray(b["coeffs"], dtype=np.float64),
-            bias=float(b["bias"]),
-            bandwidth=sigma,
-        )
-        for b in doc["bits"]
-    ]
-    return HashModel(
-        classifiers=classifiers,
-        alpha=float(doc["alpha"]),
-        p=int(doc["p"]),
-        train_bit_accuracy=[float(a) for a in doc.get("train_accuracy", [])],
+    sigma = _model_field(path, "kernel.sigma", lambda: float(doc["kernel"]["sigma"]))
+    centers = _model_field(path, "centers", lambda: np.asarray(doc["centers"], dtype=np.float64))
+    classifiers = []
+    for i, bit in enumerate(_model_field(path, "bits", lambda: list(doc["bits"]))):
+        coeffs = _model_field(path, f"bits[{i}].coeffs", lambda: np.asarray(bit["coeffs"], dtype=np.float64))
+        bias = _model_field(path, f"bits[{i}].bias", lambda: float(bit["bias"]))
+        clf = _model_field(path, f"bits[{i}]", lambda: KernelClassifier(centers, coeffs, bias, sigma))
+        classifiers.append(clf)
+    alpha = _model_field(path, "alpha", lambda: float(doc["alpha"]))
+    p = _model_field(path, "p", lambda: int(doc["p"]))
+    accuracy = _model_field(
+        path, "train_accuracy", lambda: [float(a) for a in doc.get("train_accuracy", [])]
     )
+    return _model_field(path, "p", lambda: HashModel(classifiers, alpha, p, accuracy))
+
+
+def _model_field(path, name: str, read):
+    """read(), with a missing key or a wrong type or value reported as a ValueError on `name`."""
+    try:
+        return read()
+    except KeyError:
+        raise ValueError(f"{path}: model field {name!r} is missing") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: model field {name!r} is invalid: {exc}") from None

@@ -160,6 +160,8 @@ def load_codes(path: str | Path) -> PackedCodes:
     blob = path.read_bytes()
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic, not a codes file")
+    if len(blob) < 20:
+        raise ValueError(f"{path}: truncated codes header")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported codes version {version}")

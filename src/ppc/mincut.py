@@ -18,6 +18,8 @@ import numpy as np
 VECTOR_ITER_CAP = 1000
 BIT_SWEEP_CAP = 100
 EXHAUSTIVE_MAX_N = 22
+# rows (and tile width) of W that check_weights reads at once
+CHECK_BLOCK = 128
 
 # expit rounds to exactly 1.0 above ~36.7; callers that must keep weights
 # in the open interval (0, 1) clamp against this.
@@ -41,13 +43,28 @@ class SolverReport:
 
 
 def check_weights(W: np.ndarray) -> np.ndarray:
-    """Validate a symmetric finite weight matrix, returning it as float64."""
+    """Validate a symmetric finite weight matrix, returning it as float64.
+
+    W is read in blocks of CHECK_BLOCK rows, so no n x n temporary is made.
+    After a block's finiteness check, its square tiles up to the diagonal
+    are compared with their mirror tiles, which lie in rows already
+    checked. A non-finite entry anywhere wins over an asymmetry, as in a
+    whole-matrix check.
+    """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("weight matrix must be square")
-    if not np.isfinite(W).all():
-        raise ValueError("weight matrix has non-finite entries")
-    if not np.array_equal(W, W.T):
+    symmetric = True
+    for start in range(0, W.shape[0], CHECK_BLOCK):
+        stop = start + CHECK_BLOCK
+        rows = W[start:stop]
+        if not np.isfinite(rows).all():
+            raise ValueError("weight matrix has non-finite entries")
+        symmetric = symmetric and all(
+            np.array_equal(rows[:, col : col + CHECK_BLOCK], W[col : col + CHECK_BLOCK, start:stop].T)
+            for col in range(0, stop, CHECK_BLOCK)
+        )
+    if not symmetric:
         raise ValueError("weight matrix must be exactly symmetric")
     return W
 
@@ -166,13 +183,16 @@ def bit_update(
 
 
 def _zero_diagonal(W: np.ndarray) -> np.ndarray:
+    """W itself when its diagonal is already zero, else a copy with it zeroed."""
+    if not W.diagonal().any():
+        return W
     W0 = W.copy()
     np.fill_diagonal(W0, 0.0)
     return W0
 
 
 def _bit_sweeps(W, W0, b0, max_sweeps=BIT_SWEEP_CAP, trace=False):
-    """`bit_update` on a validated W and its zero-diagonal copy W0."""
+    """`bit_update` on a validated W and W0, W with its diagonal zeroed."""
     b = check_bits(b0, W.shape[0]).copy()
     n = b.shape[0]
 
@@ -221,10 +241,10 @@ def best_of_restarts(
 ) -> tuple[np.ndarray, SolverReport]:
     """Best of one `update` solve per seed, by objective (first wins ties).
 
-    W is validated, and the solver's zero-diagonal copy or PSD shift built,
-    once for all restarts. Restart 0 starts from the `init` guess; for the
-    deterministic spectral guesses the later restarts fall back to seeded
-    random vectors so they are not wasted on duplicates.
+    W is validated, and the solver's zero-diagonal or PSD-shifted matrix
+    built, once for all restarts. Restart 0 starts from the `init` guess;
+    for the deterministic spectral guesses the later restarts fall back to
+    seeded random vectors so they are not wasted on duplicates.
     """
     if not seeds:
         raise ValueError("need at least one restart")

@@ -11,7 +11,7 @@ mismatch count after k bits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import squareform
@@ -75,34 +75,61 @@ class TrainConfig:
 
 @dataclass
 class TrainerState:
-    """Accumulated gram matrix and per-bit bookkeeping.
+    """Accumulated pair state and per-bit bookkeeping.
 
-    `gram` is the dense n x n matrix B = C^T C. The pair functions read its
-    upper triangle through a compact condensed copy that is taken on first
-    use and kept in step by `accumulate`, so edit a hand-built `gram` off
-    its diagonal only before it is first used. States made by `empty` and
-    `accumulate` hold a read-only `gram`.
+    The pair functions read B = C^T C off its diagonal only, through a
+    read-only condensed int8/int16 array in pair order. States made by
+    `empty` and `accumulate` hold just that array and `n`; their `gram` is
+    a read-only int64 n x n matrix built on each read (128 MB at n=4000),
+    for tests and checks, not for training. A hand-built
+    `TrainerState(gram=G, bits_done=k)` keeps G as given and takes its
+    condensed copy on first use, so edit G off its diagonal only before
+    then. Each state memoizes one pair index (see `_pair_index`).
     """
 
-    gram: np.ndarray
+    gram: InitVar[np.ndarray | None]
     bits_done: int = 0
     alpha_hat: float | None = None
     beta_hat: float = 0.0
     loss_history: list[LossReport] = field(default_factory=list)
     solver_reports: list[SolverReport] = field(default_factory=list)
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _n: int = field(default=0, init=False, repr=False, compare=False)
     _pairs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self, gram: np.ndarray | None):
+        if gram is not None:
+            self._dense = gram
+            self._n = gram.shape[0]
+
+    @classmethod
+    def _condensed(cls, n: int, pairs: np.ndarray, bits_done: int, **fields) -> "TrainerState":
+        state = cls(None, bits_done, **fields)
+        state._n = n
+        state._pairs = _read_only(pairs)
+        return state
 
     @classmethod
     def empty(cls, n: int) -> "TrainerState":
-        gram = np.zeros((n, n), dtype=np.int64)
-        gram.flags.writeable = False
-        state = cls(gram=gram)
-        state._pairs = _read_only(np.zeros(n * (n - 1) // 2, dtype=np.int8))
-        return state
+        return cls._condensed(n, np.zeros(n * (n - 1) // 2, dtype=np.int8), 0)
 
     @property
     def n(self) -> int:
-        return self.gram.shape[0]
+        return self._n
+
+
+def _dense_gram(state: TrainerState) -> np.ndarray:
+    if state._dense is not None:
+        return state._dense
+    gram = squareform(state._pairs, checks=False).astype(np.int64)
+    np.fill_diagonal(gram, state.bits_done)
+    return _read_only(gram)
+
+
+# a property set after the class body, since inside it `gram` names the
+# init argument of a hand-built state
+TrainerState.gram = property(_dense_gram, doc="B = C^T C as an n x n int64 matrix.")
 
 
 def hamming_from_gram(gram_entry: int, bits: int) -> int:
@@ -133,7 +160,7 @@ def _check_gram_range(lo: int, hi: int, bits: int):
 def _pair_gram(state: TrainerState) -> np.ndarray:
     """Read-only condensed B_ij in pair order, in the narrowest integer type."""
     if state._pairs is None:
-        full = squareform(np.asarray(state.gram), checks=False)
+        full = squareform(np.asarray(state._dense), checks=False)
         if full.size:
             _check_gram_range(int(full.min()), int(full.max()), state.bits_done)
         state._pairs = _read_only(full.astype(_pair_dtype(state.bits_done)))
@@ -146,8 +173,12 @@ def _pair_index(labels: ProximityLabels, state: TrainerState) -> np.ndarray:
     After k bits every B_ij lies in -k..k, so any per-pair quantity that
     depends only on (B_ij, y_ij) takes at most 2(2k+1) values: the pair
     functions evaluate it once per table entry and gather by this index.
+    The state keeps the last index it built, keyed on the labels object
+    and the bit count, so one bit step builds it once.
     """
     k = state.bits_done
+    if state._index is not None and state._index[0] is labels and state._index[1] == k:
+        return state._index[2]
     pairs = _pair_gram(state)
     if pairs.size:
         _check_gram_range(int(pairs.min()), int(pairs.max()), k)
@@ -155,6 +186,7 @@ def _pair_index(labels: ProximityLabels, state: TrainerState) -> np.ndarray:
     idx += k
     idx *= 2
     idx += labels.near_mask()
+    state._index = (labels, k, _read_only(idx))
     return idx
 
 
@@ -249,20 +281,24 @@ def weight_matrix(labels: ProximityLabels, state: TrainerState) -> np.ndarray:
 
 
 def accumulate(state: TrainerState, b: np.ndarray) -> TrainerState:
-    """Add one bit's rank-1 outer product to the gram matrix."""
+    """Add one bit's rank-1 outer product to the condensed gram.
+
+    The new state holds the condensed pairs only; the old state's pair
+    index is released, since the next bit reads the new state's.
+    """
     b = check_bits(b, state.n)
-    outer = np.outer(b, b)  # int8: widened inside the add, not as an n x n int64 copy
-    gram = np.add(state.gram, outer, dtype=np.result_type(state.gram, np.int64))
-    new = replace(
-        state,
-        gram=_read_only(gram),
-        bits_done=state.bits_done + 1,
+    k = state.bits_done + 1
+    pairs = _pair_gram(state).astype(_pair_dtype(k), copy=False)
+    new = TrainerState._condensed(
+        state.n,
+        pairs + squareform(np.outer(b, b), checks=False),
+        k,
+        alpha_hat=state.alpha_hat,
+        beta_hat=state.beta_hat,
         loss_history=list(state.loss_history),
         solver_reports=list(state.solver_reports),
     )
-    if state._pairs is not None:
-        pairs = state._pairs.astype(_pair_dtype(new.bits_done), copy=False)
-        new._pairs = _read_only(pairs + squareform(outer, checks=False))
+    state._index = None
     return new
 
 

@@ -161,6 +161,14 @@ class TestCut:
         out = capsys.readouterr().out
         assert float(out.splitlines()[0].split()[1]) == 6.0
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_matrix_is_3(self, tmp_path, capsys, entry):
+        path = tmp_path / "w.csv"
+        path.write_text(f"0,1,2\n1,0,{entry}\n2,{entry},0\n")
+        assert main(["cut", "--matrix", str(path), "--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+
     def test_vector_update_scheme(self, tmp_path, capsys):
         path = tmp_path / "w.csv"
         path.write_text("0,1\n1,0\n")
@@ -197,6 +205,54 @@ class TestExitCodes:
                    "--config", str(cfgpath)])
         assert rc == 3
         assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("ridge", "NaN"), ("ridge", "Infinity"),
+                                           ("bandwidth", "NaN"), ("bandwidth", "-Infinity")])
+    def test_non_finite_kernel_setting_is_3(self, tmp_path, blob_csv, capsys, key, value):
+        cfgpath = tmp_path / "c.json"
+        cfgpath.write_text('{"kernel": {"%s": %s}}' % (key, value))
+        rc = main(["train", "--data", str(blob_csv), "--out", str(tmp_path / "m.json"),
+                   "--config", str(cfgpath)])
+        assert rc == 3
+        assert key in capsys.readouterr().err
+
+    @pytest.fixture
+    def trained(self, tmp_path, blob_csv, capsys):
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(blob_csv), "--out", str(model),
+                     "--bits", "3", "--seed", "1", "--affinity", "class"]) == 0
+        capsys.readouterr()
+        return model
+
+    def _one_line_error(self, capsys):
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert captured.out == "" and len(err.splitlines()) == 1
+        return err
+
+    def test_model_without_bits_is_3(self, tmp_path, blob_csv, capsys, trained):
+        doc = json.loads(trained.read_text())
+        del doc["bits"]
+        trained.write_text(json.dumps(doc))
+        rc = main(["encode", "--model", str(trained), "--data", str(blob_csv),
+                   "--out", str(tmp_path / "e.ppcb")])
+        assert rc == 3
+        err = self._one_line_error(capsys)
+        assert str(trained) in err and "'bits' is missing" in err
+        rc = main(["query", "--codes", str(trained.with_suffix(".ppcb")), "--model", str(trained),
+                   "--data", str(blob_csv), "--k", "2"])
+        assert rc == 3
+        assert "'bits' is missing" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("keep", [10, 30])  # inside the header, inside the payload
+    def test_truncated_codes_is_3(self, blob_csv, capsys, trained, keep):
+        codes = trained.with_suffix(".ppcb")
+        codes.write_bytes(codes.read_bytes()[:keep])
+        rc = main(["query", "--codes", str(codes), "--model", str(trained),
+                   "--data", str(blob_csv), "--alpha", "2"])
+        assert rc == 3
+        err = self._one_line_error(capsys)
+        assert str(codes) in err and "truncated" in err
 
     @pytest.mark.parametrize(
         "flags,message",

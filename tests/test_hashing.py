@@ -1,5 +1,6 @@
 """Kernel bit classifiers, error-correcting training, model file format."""
 
+import re
 import warnings
 
 import numpy as np
@@ -382,6 +383,18 @@ class TestKernelConfig:
     def test_zero_tol_allowed(self):
         assert KernelConfig(tol=0.0).tol == 0.0
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_bad_ridge_rejected(self, ridge):
+        with pytest.raises(ValueError, match="ridge"):
+            KernelConfig(ridge=ridge)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_bad_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            KernelConfig(bandwidth=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth"):
+            KernelClassifier(np.zeros((1, 2)), np.zeros(1), 0.0, bandwidth)
+
 
 class TestModelFile:
     def test_schema_and_roundtrip(self, tmp_path):
@@ -412,6 +425,61 @@ class TestModelFile:
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}')
         with pytest.raises(ValueError, match="version"):
+            load_model(path)
+
+    @staticmethod
+    def _doc():
+        return {
+            "version": 1,
+            "p": 2,
+            "alpha": 1.0,
+            "kernel": {"type": "gaussian", "sigma": 0.5},
+            "centers": [[0.0, 0.0], [1.0, 1.0]],
+            "bits": [{"coeffs": [1.0, -1.0], "bias": 0.0}, {"coeffs": [0.5, 0.5], "bias": -0.1}],
+        }
+
+    def test_hand_written_model_loads(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self._doc()))
+        model = load_model(path)
+        assert model.p == 2 and model.classifiers[1].bias == -0.1
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d.pop("bits"), "'bits' is missing"),
+            (lambda d: d.pop("alpha"), "'alpha' is missing"),
+            (lambda d: d["kernel"].pop("sigma"), "'kernel.sigma' is missing"),
+            (lambda d: d.pop("kernel"), "'kernel.type' is missing"),
+            (lambda d: d["bits"][1].pop("coeffs"), "'bits[1].coeffs' is missing"),
+            (lambda d: d.update(bits=5), "'bits' is invalid"),
+            (lambda d: d.update(kernel=[1]), "'kernel.type' is invalid"),
+            (lambda d: d["kernel"].update(sigma="wide"), "'kernel.sigma' is invalid"),
+            (lambda d: d["kernel"].update(sigma=float("nan")), "'bits[0]' is invalid"),
+            (lambda d: d["bits"][0].update(bias=[0.0]), "'bits[0].bias' is invalid"),
+            (lambda d: d["bits"][0].update(coeffs=[1.0]), "'bits[0]' is invalid"),
+            (lambda d: d.update(centers="none"), "'centers' is invalid"),
+            (lambda d: d.update(p=3), "'p' is invalid"),
+            (lambda d: d.update(p="two"), "'p' is invalid"),
+        ],
+    )
+    def test_bad_field_named(self, tmp_path, edit, field):
+        import json
+
+        doc = self._doc()
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"model.json: model field {re.escape(field)}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"version": 1', "\udcff"])
+    def test_not_a_model_object(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, errors="surrogateescape")
+        with pytest.raises(ValueError, match="model.json: model file"):
             load_model(path)
 
 

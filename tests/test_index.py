@@ -254,6 +254,14 @@ class TestCodesFile:
         with pytest.raises(ValueError, match="magic"):
             load_codes(path)
 
+    @pytest.mark.parametrize("keep", [4, 12, 19])
+    def test_truncated_header(self, tmp_path, keep):
+        path = tmp_path / "codes.ppcb"
+        save_codes(pack(_random_codes(7, 3, seed=16)), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated codes header"):
+            load_codes(path)
+
     def test_nonzero_padding_rejected(self, tmp_path):
         packed = pack(_random_codes(7, 3, seed=15))
         words = packed.words.copy()

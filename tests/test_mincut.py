@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import random_symmetric
 from ppc.mincut import (
+    CHECK_BLOCK,
+    _zero_diagonal,
+    best_of_restarts,
     bit_update,
+    check_weights,
     exhaustive_maxcut,
     init_fiedler,
     init_random,
@@ -188,6 +192,86 @@ class TestBitUpdate:
         b_pos, _ = bit_update(W, b0)
         b_neg, _ = bit_update(W, -b0)
         assert np.array_equal(b_neg, -b_pos)
+
+
+# every public solve validates W through check_weights
+SOLVES = {
+    "bit_update": lambda W: bit_update(W, init_random(len(W), seed=0)),
+    "vector_update": lambda W: vector_update(W, init_random(len(W), seed=0)),
+    "best_of_restarts": lambda W: best_of_restarts(W, "bit", "random", [0, 1]),
+}
+
+
+class TestCheckWeights:
+    N = 300  # three full row blocks and a partial one
+
+    def _last_block_row(self):
+        assert self.N % CHECK_BLOCK and self.N > 2 * CHECK_BLOCK
+        return self.N - 5
+
+    @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("col", [7, N - 2])  # in the first tile, in the diagonal tile
+    def test_one_ulp_asymmetry_in_last_block(self, solve, mirror, col):
+        W = random_symmetric(self.N, seed=40)
+        i, j = self._last_block_row(), col
+        if mirror:  # the same pair, stored in the first block's row
+            i, j = j, i
+        W[i, j] = np.nextafter(W[i, j], np.inf)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            solve(W)
+
+    @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_in_first_or_last_block(self, solve, value, first):
+        W = random_symmetric(self.N, seed=41)
+        i = 0 if first else self.N - 1
+        W[i, 3] = W[3, i] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(W)
+
+    @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+    def test_non_finite_wins_over_earlier_asymmetry(self, solve):
+        W = random_symmetric(self.N, seed=42)
+        W[1, 0] += 1.0
+        W[self._last_block_row(), 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(W)
+
+    @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, solve, shape):
+        with pytest.raises(ValueError, match="square"):
+            solve(np.zeros(shape))
+
+    @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+    @pytest.mark.parametrize("n", [1, CHECK_BLOCK - 1, CHECK_BLOCK, CHECK_BLOCK + 1, 300])
+    def test_symmetric_sizes_pass(self, solve, n):
+        W = random_symmetric(n, seed=n, zero_diag=False)
+        assert check_weights(W) is W
+        b, report = solve(W)
+        assert b.shape == (n,) and np.isfinite(report.objective)
+
+    def test_integer_input_converted(self):
+        W = check_weights([[0, 2], [2, 0]])
+        assert W.dtype == np.float64 and np.array_equal(W, [[0.0, 2.0], [2.0, 0.0]])
+
+
+class TestZeroDiagonal:
+    def test_zero_diagonal_read_in_place(self):
+        W = random_symmetric(6, seed=43)
+        assert _zero_diagonal(W) is W
+
+    def test_nonzero_diagonal_copied(self):
+        W = random_symmetric(6, seed=44, zero_diag=False)
+        before = W.copy()
+        W0 = _zero_diagonal(W)
+        assert W0 is not W and not np.shares_memory(W0, W)
+        assert np.array_equal(W, before)
+        assert np.all(np.diag(W0) == 0.0)
+        off = ~np.eye(6, dtype=bool)
+        assert np.array_equal(W0[off], W[off])
 
 
 class TestInitRandom:

@@ -16,6 +16,7 @@ from ppc.trainer import (
     TrainConfig,
     TrainerState,
     _pair_gram,
+    _pair_index,
     accumulate,
     empirical_loss,
     hamming_from_gram,
@@ -485,3 +486,56 @@ class TestCondensedPairCache:
         for arr in (_pair_gram(state), state.gram, TrainerState.empty(3).gram):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+
+class TestCondensedState:
+    def _chain(self, n, bits, seed):
+        rng = np.random.default_rng(seed)
+        codes = (2 * rng.integers(0, 2, size=(bits, n)) - 1).astype(np.int8)
+        state = TrainerState.empty(n)
+        for b in codes:
+            state = accumulate(state, b)
+        return codes, state
+
+    def test_no_dense_array_held(self):
+        n = 40
+        labels = ProximityLabels.from_near_mask(np.arange(n * (n - 1) // 2) % 3 == 0, n)
+        _, state = self._chain(n, 5, seed=7)
+        relaxed_loss(labels, state, 1.0)  # fills the pair-index memo
+        held = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+        held += [v for v in state._index if isinstance(v, np.ndarray)]
+        assert held and all(a.size < n * n for a in held)
+
+    def test_gram_built_read_only_int64(self):
+        codes, state = self._chain(17, 9, seed=8)
+        gram = state.gram
+        assert gram.dtype == np.int64 and not gram.flags.writeable
+        assert np.array_equal(gram, codes.astype(np.int64).T @ codes.astype(np.int64))
+        assert gram is not state.gram  # built on each read
+
+    def test_hand_built_gram_kept_as_given(self):
+        gram = np.zeros((4, 4), dtype=np.int64)
+        state = TrainerState(gram=gram, bits_done=1)
+        assert state.gram is gram and state.n == 4
+
+    def test_pair_index_memoized_per_labels_object(self):
+        n = 12
+        mask = np.arange(n * (n - 1) // 2) % 4 == 0
+        first = ProximityLabels.from_near_mask(mask, n)
+        other = ProximityLabels.from_near_mask(~mask, n)
+        _, state = self._chain(n, 3, seed=9)
+        idx = _pair_index(first, state)
+        assert _pair_index(first, state) is idx
+        rebuilt = _pair_index(other, state)
+        assert rebuilt is not idx
+        assert np.array_equal(rebuilt - idx, np.where(mask, -1, 1))
+        assert relaxed_loss(other, state, 0.5) == _ref_relaxed_loss(other, state, 0.5)
+
+    def test_accumulate_releases_old_memo(self):
+        n = 6
+        labels = ProximityLabels.from_near_mask(np.arange(n * (n - 1) // 2) % 2 == 0, n)
+        state = TrainerState.empty(n)
+        weight_matrix(labels, state)
+        assert state._index is not None
+        after = accumulate(state, np.array([1, -1, 1, 1, -1, 1]))
+        assert state._index is None and after._index is None

@@ -18,6 +18,7 @@ import numpy as np
 
 from ppc import affinity as aff
 from ppc import evalbench, index, mincut
+from ppc.fileio import atomic_write
 from ppc.hashing import KernelConfig, encode, load_model, save_model, train_with_hashing
 from ppc.seeds import derive_seed
 from ppc.trainer import TrainConfig, bit_log_records
@@ -206,7 +207,7 @@ def cmd_train(args) -> int:
     save_model(model, out)
     codes = encode(model, data.features)
     index.save_codes(index.pack(codes, ids=data.ids), codes_path)
-    with open(log_path, "w", encoding="utf-8") as fh:
+    with atomic_write(log_path, encoding="utf-8") as fh:
         for record in bit_log_records(state):
             fh.write(json.dumps(record) + "\n")
     print(

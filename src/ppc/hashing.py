@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +18,15 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.special import expit
 
 from ppc.affinity import Dataset, ProximityLabels
+from ppc.fileio import atomic_write
 from ppc.seeds import derive_seed
-from ppc.trainer import (
-    TrainConfig,
-    TrainerState,
-    accumulate,
-    empirical_loss,
-    optimize_alpha,
-    solve_bit,
-    weight_matrix,
-)
+from ppc.trainer import TrainConfig, TrainerState, train
 
 MODEL_VERSION = 1
 # rows of query features whose kernel values encode() holds at once
 ENCODE_BLOCK = 4096
+# points subsampled for the median-distance bandwidth
+BANDWIDTH_SAMPLE = 1000
 # Armijo sufficient-decrease fraction and backtracking cap of the Newton fit
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
@@ -46,7 +41,6 @@ class KernelConfig:
     max_centers: int = 1000
     max_iter: int = 500  # cap on Newton steps per bit
     tol: float = 1e-5  # converged when max |gradient| <= tol
-    bandwidth_sample: int = 1000
 
     def __post_init__(self):
         if self.bandwidth is not None and not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
@@ -102,12 +96,12 @@ class HashModel:
             raise ValueError("model must have at least one bit")
 
 
-def median_bandwidth(features: np.ndarray, seed: int, sample: int = 1000) -> float:
+def median_bandwidth(features: np.ndarray, seed: int) -> float:
     """Median pairwise distance over a seeded subsample; 1.0 if degenerate."""
     n = features.shape[0]
-    if n > sample:
+    if n > BANDWIDTH_SAMPLE:
         rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n, size=sample, replace=False))
+        idx = np.sort(rng.choice(n, size=BANDWIDTH_SAMPLE, replace=False))
         features = features[idx]
     if features.shape[0] < 2:
         return 1.0
@@ -118,6 +112,22 @@ def median_bandwidth(features: np.ndarray, seed: int, sample: int = 1000) -> flo
 def _kernel_matrix(X: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
     sq = cdist(X, centers, "sqeuclidean")
     return np.exp(-sq / (2.0 * sigma * sigma))
+
+
+def _kernel_basis(features: np.ndarray, kernel: KernelConfig, seed: int):
+    """Centers, bandwidth and train kernel matrix shared by every bit's fit.
+
+    Up to max_centers training points, drawn without replacement, become
+    the centers; the bandwidth is kernel.bandwidth or the median pairwise
+    distance. Returns (centers, sigma, K) with K the n x centers kernel.
+    """
+    n = features.shape[0]
+    rng = np.random.default_rng(derive_seed(seed, "centers"))
+    centers = features[np.sort(rng.choice(n, size=min(n, kernel.max_centers), replace=False))]
+    sigma = kernel.bandwidth
+    if sigma is None:
+        sigma = median_bandwidth(features, derive_seed(seed, "bandwidth"))
+    return centers, sigma, _kernel_matrix(features, centers, sigma)
 
 
 def _fit_logistic(K: np.ndarray, targets: np.ndarray, cfg: KernelConfig):
@@ -202,35 +212,20 @@ def _fit_logistic(K: np.ndarray, targets: np.ndarray, cfg: KernelConfig):
 
 
 def fit_bit_classifier(
-    data: Dataset | np.ndarray,
-    target_bits: np.ndarray,
-    cfg: KernelConfig,
-    seed: int = 0,
-    centers_idx: np.ndarray | None = None,
-    _gram: np.ndarray | None = None,
+    centers: np.ndarray, sigma: float, K: np.ndarray, target_bits: np.ndarray, cfg: KernelConfig
 ) -> FitResult:
-    """Fit one bit's classifier on (features, ±1 targets).
+    """Fit one bit's classifier on ±1 targets over a precomputed kernel basis.
 
-    Accepts a Dataset or a bare feature matrix (the latter admits the
-    single-sample case). Single-class targets produce a constant
-    classifier (zero coefficients, bias = the class sign). A fit that
-    stops at the Newton step cap returns its last iterate, whose penalized
-    loss is the lowest reached, with converged=False.
+    K holds the training points' kernel values against `centers` at
+    bandwidth `sigma`, one row per target (see `_kernel_basis`).
+    Single-class targets produce a constant classifier (zero coefficients,
+    bias = the class sign). A fit that stops at the Newton step cap
+    returns its last iterate, whose penalized loss is the lowest reached,
+    with converged=False.
     """
     t = np.asarray(target_bits)
-    X = data.features if isinstance(data, Dataset) else np.atleast_2d(np.asarray(data, dtype=np.float64))
-    n = X.shape[0]
-    if t.shape != (n,) or not np.isin(t, (-1, 1)).all():
+    if t.shape != (K.shape[0],) or not np.isin(t, (-1, 1)).all():
         raise ValueError("target bits must be ±1 and match the point count")
-
-    if centers_idx is None:
-        m = min(n, cfg.max_centers)
-        rng = np.random.default_rng(derive_seed(seed, "centers"))
-        centers_idx = np.sort(rng.choice(n, size=m, replace=False))
-    centers = X[centers_idx]
-    sigma = cfg.bandwidth
-    if sigma is None:
-        sigma = median_bandwidth(X, derive_seed(seed, "bandwidth"), cfg.bandwidth_sample)
 
     if np.all(t == t[0]):
         clf = KernelClassifier(
@@ -241,7 +236,6 @@ def fit_bit_classifier(
         )
         return FitResult(classifier=clf, accuracy=1.0, converged=True, iterations=0)
 
-    K = _gram if _gram is not None else _kernel_matrix(X, centers, sigma)
     coef, bias, converged, iters, grad_max = _fit_logistic(K, t, cfg)
     clf = KernelClassifier(centers=centers, coefficients=coef, bias=bias, bandwidth=sigma)
     preds = _predict_from_kernel(K, coef, bias)
@@ -288,73 +282,38 @@ def train_with_hashing(
 ) -> tuple[HashModel, TrainerState]:
     """Bit-sequential training with per-bit classifiers and error correction.
 
-    Per bit: solve the cut for the optimal in-sample vector, fit the
-    classifier on it, then accumulate the classifier's own in-sample
-    predictions so later bits compensate its mistakes. The model stores
-    the retrieval threshold recomputed on the classifier-produced code.
+    Runs `trainer.train` with a corrector that fits each bit's classifier
+    on the cut's optimal in-sample vector and returns the classifier's own
+    in-sample predictions, so later bits compensate its mistakes. The
+    model stores the retrieval threshold recomputed on the
+    classifier-produced code; all its classifiers share one centers array,
+    so encode() builds the query kernel once.
     """
     kernel = kernel or KernelConfig()
-    n = data.n
-    if labels.n != n:
+    if labels.n != data.n:
         raise ValueError("labels and dataset disagree on point count")
+    centers, sigma, K = _kernel_basis(data.features, kernel, config.seed)
+    fits: list[FitResult] = []
 
-    m = min(n, kernel.max_centers)
-    rng = np.random.default_rng(derive_seed(config.seed, "centers"))
-    centers_idx = np.sort(rng.choice(n, size=m, replace=False))
-    sigma = kernel.bandwidth
-    if sigma is None:
-        sigma = median_bandwidth(
-            data.features, derive_seed(config.seed, "bandwidth"), kernel.bandwidth_sample
-        )
-    K = _kernel_matrix(data.features, data.features[centers_idx], sigma)
-    resolved = replace(kernel, bandwidth=sigma)
-
-    state = TrainerState.empty(n)
-    classifiers: list[KernelClassifier] = []
-    accuracies: list[float] = []
-    for _ in range(config.max_bits):
-        target, solver_report = solve_bit(weight_matrix(labels, state), config, bit_index=state.bits_done)
-        fit = fit_bit_classifier(
-            data,
-            target,
-            resolved,
-            seed=config.seed,
-            centers_idx=centers_idx,
-            _gram=K,
-        )
+    def correct(target: np.ndarray, bit_index: int) -> np.ndarray:
+        fit = fit_bit_classifier(centers, sigma, K, target, kernel)
         if not fit.converged:
             warnings.warn(
-                f"bit {state.bits_done + 1}: classifier fit stopped unconverged after "
-                f"{fit.iterations} Newton steps, max|grad| {fit.grad_max:.3g} > tol {resolved.tol:g}",
+                f"bit {bit_index + 1}: classifier fit stopped unconverged after "
+                f"{fit.iterations} Newton steps, max|grad| {fit.grad_max:.3g} > tol {kernel.tol:g}",
                 RuntimeWarning,
-                stacklevel=2,
+                # past train_bit, train and train_with_hashing to its caller
+                stacklevel=5,
             )
-        corrected = _predict_from_kernel(K, fit.classifier.coefficients, fit.classifier.bias)
-        state = accumulate(state, corrected)
-        result = optimize_alpha(labels, state)
-        state.alpha_hat = result.alpha
-        state.beta_hat = result.beta
-        loss = empirical_loss(labels, state, result.alpha)
-        state.loss_history.append(loss)
-        state.solver_reports.append(solver_report)
-        classifiers.append(fit.classifier)
-        accuracies.append(fit.accuracy)
-        if loss.empirical <= config.target_empirical_loss:
-            break
+        fits.append(fit)
+        return _predict_from_kernel(K, fit.classifier.coefficients, fit.classifier.bias)
 
-    # one shared centers array lets encode() build the query kernel once
-    shared = data.features[centers_idx].copy()
-    classifiers = [
-        KernelClassifier(
-            centers=shared, coefficients=c.coefficients, bias=c.bias, bandwidth=c.bandwidth
-        )
-        for c in classifiers
-    ]
+    _, state = train(labels, config, correct)
     model = HashModel(
-        classifiers=classifiers,
+        classifiers=[fit.classifier for fit in fits],
         alpha=float(state.alpha_hat),
-        p=len(classifiers),
-        train_bit_accuracy=accuracies,
+        p=len(fits),
+        train_bit_accuracy=[fit.accuracy for fit in fits],
     )
     return model, state
 
@@ -382,7 +341,8 @@ def save_model(model: HashModel, path: str | Path):
         ],
         "train_accuracy": [float(a) for a in model.train_bit_accuracy],
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
 
 
 def load_model(path: str | Path) -> HashModel:

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ppc.fileio import atomic_write
+
 MAGIC = b"PPCB"
 VERSION = 1
 
@@ -91,11 +93,6 @@ def _popcounts(index: PackedCodes, q: np.ndarray) -> np.ndarray:
     return h
 
 
-def hamming_to_all(index: PackedCodes, q: np.ndarray) -> np.ndarray:
-    """Doubled distances from one packed query to every indexed code."""
-    return 2 * _popcounts(index, q).astype(np.int64)
-
-
 def pair_hamming(packed: PackedCodes, block: int = 256) -> np.ndarray:
     """Condensed doubled distances over all unordered pairs (triu order)."""
     n = packed.n
@@ -144,8 +141,7 @@ def query_knn(index: PackedCodes, q: np.ndarray, k: int) -> np.ndarray:
 
 
 def save_codes(packed: PackedCodes, path: str | Path, with_ids: bool = True):
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", packed.n))

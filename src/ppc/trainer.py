@@ -11,6 +11,7 @@ mismatch count after k bits).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ from ppc.mincut import (
     check_bits,
 )
 from ppc.seeds import derive_seed
+
+# maps (cut bits, 0-based bit index) to the bits a bit step accumulates
+Corrector = Callable[[np.ndarray, int], np.ndarray]
 
 
 @dataclass
@@ -309,10 +313,17 @@ def solve_bit(W: np.ndarray, config: TrainConfig, bit_index: int) -> tuple[np.nd
 
 
 def train_bit(
-    state: TrainerState, labels: ProximityLabels, config: TrainConfig
+    state: TrainerState, labels: ProximityLabels, config: TrainConfig, correct: Corrector | None = None
 ) -> tuple[np.ndarray, TrainerState, LossReport]:
-    """Run one full bit step: threshold, weights, cut, accumulate, report."""
+    """Run one full bit step: weights, cut, correct, accumulate, threshold, report.
+
+    `correct(target_bits, bit_index)` maps the cut's ±1 bits to the bits
+    that get accumulated; None keeps the cut's bits (in-sample training).
+    Returns the accumulated bits.
+    """
     b, report = solve_bit(weight_matrix(labels, state), config, bit_index=state.bits_done)
+    if correct is not None:
+        b = correct(b, state.bits_done)
     new_state = accumulate(state, b)
     result = optimize_alpha(labels, new_state)
     new_state.alpha_hat = result.alpha
@@ -323,16 +334,19 @@ def train_bit(
     return b, new_state, loss
 
 
-def train(labels: ProximityLabels, config: TrainConfig) -> tuple[np.ndarray, TrainerState]:
+def train(
+    labels: ProximityLabels, config: TrainConfig, correct: Corrector | None = None
+) -> tuple[np.ndarray, TrainerState]:
     """Emit bits until the empirical loss drops to the target or max_bits.
 
-    Returns the p x n ±1 code matrix and the final trainer state (whose
-    alpha_hat is the retrieval threshold for the finished code).
+    Returns the p x n ±1 code matrix of the accumulated (corrected) bits
+    and the final trainer state (whose alpha_hat is the retrieval
+    threshold for the finished code). See `train_bit` for `correct`.
     """
     state = TrainerState.empty(labels.n)
     rows = []
     for _ in range(config.max_bits):
-        b, state, loss = train_bit(state, labels, config)
+        b, state, loss = train_bit(state, labels, config, correct)
         rows.append(b)
         if loss.empirical <= config.target_empirical_loss:
             break

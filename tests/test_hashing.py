@@ -28,6 +28,11 @@ def _encode_one(clf, x):
     return int(encode(HashModel([clf], alpha=0.0, p=1), x)[0, 0])
 
 
+def _fit(features, targets, cfg, seed=0):
+    """fit_bit_classifier over the kernel basis train_with_hashing builds."""
+    return fit_bit_classifier(*hashing._kernel_basis(features, cfg, seed), targets, cfg)
+
+
 def _two_blobs(n=200, d=2, seed=0, sep=10.0):
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -161,12 +166,12 @@ class TestFitBitClassifier:
     def test_separable_blobs_high_accuracy(self):
         data = _two_blobs(200, 2, seed=1)
         targets = np.where(data.class_labels == 0, 1, -1).astype(np.int8)
-        fit = fit_bit_classifier(data, targets, KernelConfig(max_centers=80), seed=0)
+        fit = _fit(data.features, targets, KernelConfig(max_centers=80), seed=0)
         assert fit.accuracy >= 0.99
 
     def test_all_positive_targets_constant(self):
         data = _two_blobs(40, 2, seed=2)
-        fit = fit_bit_classifier(data, np.ones(40, dtype=np.int8), KernelConfig())
+        fit = _fit(data.features, np.ones(40, dtype=np.int8), KernelConfig())
         assert fit.accuracy == 1.0
         assert np.all(fit.classifier.coefficients == 0.0)
         assert fit.classifier.bias == 1.0
@@ -174,25 +179,25 @@ class TestFitBitClassifier:
     def test_rejects_bad_targets(self):
         data = _two_blobs(10, 2, seed=3)
         with pytest.raises(ValueError):
-            fit_bit_classifier(data, np.zeros(10), KernelConfig())
+            _fit(data.features, np.zeros(10), KernelConfig())
 
     def test_center_subsampling_count(self):
         data = _two_blobs(50, 2, seed=4)
         targets = np.where(data.class_labels == 0, 1, -1).astype(np.int8)
-        fit = fit_bit_classifier(data, targets, KernelConfig(max_centers=12), seed=1)
+        fit = _fit(data.features, targets, KernelConfig(max_centers=12), seed=1)
         assert fit.classifier.centers.shape == (12, 2)
         assert fit.classifier.coefficients.shape == (12,)
 
     def test_deterministic(self):
         data = _two_blobs(60, 2, seed=5)
         targets = np.where(data.class_labels == 0, 1, -1).astype(np.int8)
-        a = fit_bit_classifier(data, targets, KernelConfig(max_centers=30), seed=7)
-        b = fit_bit_classifier(data, targets, KernelConfig(max_centers=30), seed=7)
+        a = _fit(data.features, targets, KernelConfig(max_centers=30), seed=7)
+        b = _fit(data.features, targets, KernelConfig(max_centers=30), seed=7)
         assert np.array_equal(a.classifier.coefficients, b.classifier.coefficients)
         assert a.classifier.bias == b.classifier.bias
 
     def test_single_sample_constant(self):
-        fit = fit_bit_classifier(np.array([[1.0, 2.0]]), np.array([-1]), KernelConfig())
+        fit = _fit(np.array([[1.0, 2.0]]), np.array([-1]), KernelConfig())
         assert fit.accuracy == 1.0
         assert fit.classifier.bias == -1.0
         assert _encode_one(fit.classifier, np.array([9.0, 9.0])) == -1
@@ -220,7 +225,7 @@ class TestPredictBit:
     def test_perfect_fit_reproduces_targets(self):
         data = _two_blobs(100, 2, seed=6)
         targets = np.where(data.class_labels == 0, 1, -1).astype(np.int8)
-        fit = fit_bit_classifier(data, targets, KernelConfig(max_centers=60), seed=2)
+        fit = _fit(data.features, targets, KernelConfig(max_centers=60), seed=2)
         assert fit.accuracy == 1.0
         preds = encode(HashModel([fit.classifier], alpha=0.0, p=1), data.features)[0]
         assert np.array_equal(preds, targets)

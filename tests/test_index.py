@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ppc.index import (
     PackedCodes,
+    _popcounts,
     hamming,
-    hamming_to_all,
     load_codes,
     pack,
     pair_hamming,
@@ -24,9 +24,16 @@ def _random_codes(p, n, seed):
     return (2 * rng.integers(0, 2, size=(p, n)) - 1).astype(np.int8)
 
 
+def _reference_distances(index, q):
+    """Doubled distances p - C^T q from the unpacked ±1 codes, no popcounts."""
+    C = unpack(index).astype(np.int64)
+    q = unpack(PackedCodes(words=np.asarray(q, dtype=np.uint64)[None, :], n=1, p=index.p))
+    return index.p - C.T @ q[:, 0].astype(np.int64)
+
+
 def _reference_radius(index, q, alpha):
     """Full-scan reference: lexsort every hit by (doubled distance, id)."""
-    d = hamming_to_all(index, q)
+    d = _reference_distances(index, q)
     keep = d <= alpha
     ids = index.ids[keep]
     return ids[np.lexsort((ids, d[keep]))]
@@ -34,7 +41,7 @@ def _reference_radius(index, q, alpha):
 
 def _reference_knn(index, q, k):
     """Full-scan reference: lexsort all n codes by (doubled distance, id)."""
-    d = hamming_to_all(index, q)
+    d = _reference_distances(index, q)
     order = np.lexsort((index.ids, d))
     return index.ids[order[: min(k, index.n)]]
 
@@ -141,7 +148,7 @@ class TestQueries:
         packed = pack(C)
         ids = query_knn(packed, packed.words[3], k=15)
         assert sorted(ids.tolist()) == list(range(15))
-        d = hamming_to_all(packed, packed.words[3])
+        d = _reference_distances(packed, packed.words[3])
         assert np.all(np.diff(d[ids]) >= 0)
 
     def test_knn_self_first(self):
@@ -165,7 +172,7 @@ class TestQueries:
         C = _random_codes(10, 20, seed=12)
         packed = pack(C)
         inside = set(query_radius(packed, packed.words[0], alpha=8).tolist())
-        d = hamming_to_all(packed, packed.words[0])
+        d = _reference_distances(packed, packed.words[0])
         outside = {i for i in range(20) if d[i] > 8}
         assert inside | outside == set(range(20))
         assert not (inside & outside)
@@ -216,8 +223,8 @@ class TestQueryExactness:
         C = _random_codes(p, 40, seed=33)
         C[:, 2] = -C[:, 1]  # distance p from row 1: the widest count
         index = pack(C)
-        d = hamming_to_all(index, index.words[1])
-        assert d.dtype == np.int64
+        d = 2 * _popcounts(index, index.words[1]).astype(np.int64)
+        assert np.array_equal(d, _reference_distances(index, index.words[1]))
         assert d.tolist() == [hamming(index.words[1], index.words[i], p) for i in range(40)]
 
     @pytest.mark.parametrize("k", [0, -1, -5])

@@ -18,6 +18,7 @@ from ppc.trainer import (
     _pair_gram,
     _pair_index,
     accumulate,
+    bit_log_records,
     empirical_loss,
     hamming_from_gram,
     optimize_alpha,
@@ -310,6 +311,40 @@ class TestTrain:
             alpha = int(loss.alpha)
             beta = k - alpha
             assert np.array_equal(y * (alpha - d), y * (B - beta))
+
+
+class TestCorrector:
+    """train(..., correct): the corrector's bits are what a bit step accumulates."""
+
+    def _labels(self):
+        return labels_by_class(synth_blobs(40, 3, 2, seed=9))
+
+    def test_identity_matches_no_corrector(self):
+        labels = self._labels()
+        cfg = TrainConfig(max_bits=6, seed=3, target_empirical_loss=-1)
+        codes, state = train(labels, cfg)
+        codes_id, state_id = train(labels, cfg, lambda b, bit_index: b)
+        assert np.array_equal(codes_id, codes)
+        assert bit_log_records(state_id) == bit_log_records(state)
+
+    def test_flipping_corrector_sees_every_bit_and_is_accumulated(self):
+        labels = self._labels()
+        cfg = TrainConfig(max_bits=5, seed=4, target_empirical_loss=-1)
+        cut_bits, seen = [], []
+
+        def flip_first_point(b, bit_index):
+            cut_bits.append(b.copy())
+            seen.append(bit_index)
+            out = b.copy()
+            out[0] = -out[0]
+            return out
+
+        codes, state = train(labels, cfg, flip_first_point)
+        assert seen == list(range(codes.shape[0])) == list(range(5))
+        expected = np.stack(cut_bits)
+        expected[:, 0] *= -1
+        assert np.array_equal(codes, expected)
+        assert np.array_equal(state.gram, codes.astype(np.int64).T @ codes.astype(np.int64))
 
 
 @settings(deadline=None, max_examples=20)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 # Dense pair machinery is Theta(n^2); refuse silently huge inputs.
 DEFAULT_MAX_POINTS = 10_000
@@ -143,6 +143,19 @@ def pairwise_distances(data: Dataset, metric: str = "euclidean") -> np.ndarray:
     return pdist(data.features, metric=_METRICS[metric])
 
 
+def pair_distances(data: Dataset, start: int, stop: int, metric: str = "euclidean") -> np.ndarray:
+    """Distances from rows start..stop-1 to rows start+1..n-1.
+
+    Cell (r, c) holds pair (start + r, start + 1 + c), laid out as in
+    `index.pair_popcounts`; the cells with c >= r equal the matching
+    `pairwise_distances` entries bit for bit.
+    """
+    if metric not in _METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    X = data.features
+    return cdist(X[start:stop], X[start + 1 :], metric=_METRICS[metric])
+
+
 def _check_pair_scale(n: int, max_points: int):
     if n > max_points:
         raise ValueError(f"n={n} exceeds the dense pair cap ({max_points})")
@@ -152,10 +165,15 @@ def labels_by_class(data: Dataset, max_points: int = DEFAULT_MAX_POINTS) -> Prox
     """Near iff two points share a class label."""
     if data.class_labels is None:
         raise ValueError("dataset has no class labels")
-    _check_pair_scale(data.n, max_points)
-    iu, ju = np.triu_indices(data.n, 1)
-    near = data.class_labels[iu] == data.class_labels[ju]
-    return ProximityLabels.from_near_mask(near, data.n)
+    n = data.n
+    _check_pair_scale(n, max_points)
+    c = data.class_labels
+    near = np.empty(n * (n - 1) // 2, dtype=bool)
+    pos = 0
+    for i in range(n - 1):
+        np.equal(c[i + 1 :], c[i], out=near[pos : pos + n - 1 - i])
+        pos += n - 1 - i
+    return ProximityLabels.from_near_mask(near, n)
 
 
 def labels_by_radius(

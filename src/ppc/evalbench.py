@@ -1,7 +1,10 @@
 """Retrieval evaluation: precision-recall sweeps over the Hamming
 threshold, AUC, and joint distance histograms.
 
-All counting is over unordered pairs, matching the trainer's loss.
+All counting is over unordered pairs, matching the trainer's loss. Both
+pair sweeps walk the pairs in blocks of `EVAL_BLOCK` rows, each against
+every later row, so they hold O(EVAL_BLOCK * n) values at a time and no
+array with one entry per pair.
 """
 
 from __future__ import annotations
@@ -13,8 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ppc.affinity import Dataset, ProximityLabels, pairwise_distances
-from ppc.index import PackedCodes, pair_hamming
+from ppc.affinity import Dataset, ProximityLabels, pair_distances
+from ppc.fileio import atomic_write
+from ppc.index import PackedCodes, pair_popcounts
+
+# rows per block of the pair sweeps
+EVAL_BLOCK = 64
+# cells (r, c), c < r, of a full block: they pair a row with itself or an
+# earlier row
+_BELOW = np.tri(EVAL_BLOCK, EVAL_BLOCK - 1, -1, dtype=bool)
 
 
 @dataclass
@@ -38,12 +48,23 @@ def precision_recall(codes: PackedCodes, labels: ProximityLabels) -> PRCurve:
         raise ValueError("codes and labels disagree on point count")
     if labels.near_count == 0:
         raise ValueError("recall undefined: no near pairs")
-    d = pair_hamming(codes)
     near = labels.near_mask()
     p = codes.p
 
-    hist_near = np.bincount(d[near] // 2, minlength=p + 1)
-    hist_far = np.bincount(d[~near] // 2, minlength=p + 1)
+    # one count per key 2 * d_H/2 + near; key `width` collects the cells
+    # that are not pairs
+    width = 2 * (p + 1)
+    hist = np.zeros(width + 1, dtype=np.int64)
+    pos = 0
+    for start, stop in _row_blocks(codes.n):
+        key = pair_popcounts(codes, start, stop).astype(np.intp)
+        key <<= 1
+        for r, row in enumerate(key):
+            row[r:] += near[pos : pos + row.size - r]
+            pos += row.size - r
+        _fill_below(key, width)
+        hist += np.bincount(key.ravel(), minlength=width + 1)
+    hist_near, hist_far = hist[1:width:2], hist[0:width:2]
     tp = np.cumsum(hist_near)
     fp = np.cumsum(hist_far)
     near_total = labels.near_count
@@ -83,24 +104,67 @@ def joint_histogram(
     """Pair counts binned by feature distance (rows) x code distance (cols)."""
     if codes.n != data.n:
         raise ValueError("codes and dataset disagree on point count")
-    dist = pairwise_distances(data, metric)
-    dh = pair_hamming(codes) // 2  # column index: d_H / 2 in 0..p
-    lo, hi = float(dist.min()), float(dist.max())
+    n = data.n
+    lo, hi = math.inf, -math.inf
+    for start, stop in _row_blocks(n):
+        dist = pair_distances(data, start, stop, metric)
+        _fill_below(dist, dist[0, 0])  # (start, start + 1) is a pair
+        lo, hi = min(lo, float(dist.min())), max(hi, float(dist.max()))
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-    row = np.clip(np.digitize(dist, edges) - 1, 0, bins - 1)
+    # bin g holds edges[g] <= x < upper[g]: the bin np.digitize picks, with
+    # x >= hi in the last bin
+    upper = np.append(edges[1:-1], np.inf)
+    # lo + 1.0 rounds to lo past 2**53 and a subnormal span overflows the
+    # scale; the guess is then 0 and the correction below walks it up
+    scale = bins / (hi - lo) if hi > lo else 0.0
+    if math.isinf(scale):
+        scale = 0.0
+
     width = codes.p + 1
-    counts = np.bincount(row * width + dh, minlength=bins * width).reshape(bins, width)
+    counts = np.zeros(bins * width + 1, dtype=np.int64)
+    for start, stop in _row_blocks(n):
+        dist = pair_distances(data, start, stop, metric)
+        _fill_below(dist, lo)
+        guess = dist - lo
+        guess *= scale
+        np.minimum(guess, bins - 1, out=guess)
+        key = guess.astype(np.intp)
+        del guess
+        # the guess is off by rounding only; step it to the exact bin
+        while True:
+            down = dist < edges[key]
+            up = dist >= upper[key]
+            if not (down.any() or up.any()):
+                break
+            key -= down
+            key += up
+        key *= width
+        key += pair_popcounts(codes, start, stop)
+        _fill_below(key, bins * width)
+        counts += np.bincount(key.ravel(), minlength=bins * width + 1)
     return JointHistogram(
-        counts=counts,
+        counts=counts[:-1].reshape(bins, width),
         dist_edges=edges,
         hamming_values=np.arange(0, 2 * codes.p + 1, 2, dtype=np.int64),
     )
 
 
+def _row_blocks(n: int):
+    """(start, stop) of each block of rows that has a later row."""
+    for start in range(0, n - 1, EVAL_BLOCK):
+        yield start, min(start + EVAL_BLOCK, n - 1)
+
+
+def _fill_below(grid: np.ndarray, value):
+    """Set a row block's cells (r, c), c < r, which are not pairs i < j."""
+    b = grid.shape[0]
+    grid[:, : b - 1][_BELOW[:b, : b - 1]] = value
+
+
 def write_pr_csv(curve: PRCurve, path: str | Path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "precision", "recall", "tp", "fp", "fn", "tn"])
         for (alpha, precision, recall), (tp, fp, fn, tn) in zip(curve.points, curve.counts):
@@ -110,7 +174,7 @@ def write_pr_csv(curve: PRCurve, path: str | Path):
 def write_histogram_csv(hist: JointHistogram, path: str | Path):
     """Rows dist_bin,hamming,count,log_count; dist_bin is the bin center."""
     centers = (hist.dist_edges[:-1] + hist.dist_edges[1:]) / 2.0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dist_bin", "hamming", "count", "log_count"])
         for r, center in enumerate(centers):
@@ -121,7 +185,7 @@ def write_histogram_csv(hist: JointHistogram, path: str | Path):
 
 
 def write_auc_csv(value: float, path: str | Path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["auc"])
         writer.writerow([repr(float(value))])

@@ -77,20 +77,36 @@ def hamming(a: np.ndarray, b: np.ndarray, p: int) -> int:
     return 2 * int(np.bitwise_count(a ^ b).sum())
 
 
-def _popcounts(index: PackedCodes, q: np.ndarray) -> np.ndarray:
-    """Undoubled distances from one packed query to every indexed code.
+def _xor_popcounts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """popcount(a ^ b) summed over the last (word) axis, broadcasting the rest.
 
     Summed one word column at a time in uint8 (up to 3 words) or uint16
-    (up to 1023 words), so no (n, w) buffer or int64 copy is made.
+    (up to 1023 words), so no buffer with a word axis or int64 copy is made.
     """
+    w = a.shape[-1]
+    dtype = np.uint8 if w < 4 else np.uint16 if w < 1024 else np.int64
+    h = np.bitwise_count(a[..., 0] ^ b[..., 0]).astype(dtype, copy=False)
+    for j in range(1, w):
+        h += np.bitwise_count(a[..., j] ^ b[..., j])
+    return h
+
+
+def _popcounts(index: PackedCodes, q: np.ndarray) -> np.ndarray:
+    """Undoubled distances from one packed query to every indexed code."""
     q = np.asarray(q, dtype=np.uint64)
     _check_same_shape(q, index.p)
-    w = index.words.shape[1]
-    dtype = np.uint8 if w < 4 else np.uint16 if w < 1024 else np.int64
-    h = np.bitwise_count(index.words[:, 0] ^ q[0]).astype(dtype, copy=False)
-    for j in range(1, w):
-        h += np.bitwise_count(index.words[:, j] ^ q[j])
-    return h
+    return _xor_popcounts(index.words, q)
+
+
+def pair_popcounts(packed: PackedCodes, start: int, stop: int) -> np.ndarray:
+    """Undoubled distances from rows start..stop-1 to rows start+1..n-1.
+
+    Cell (r, c) of the (stop - start, n - start - 1) result holds pair
+    (start + r, start + 1 + c); the cells with c < r pair a row with
+    itself or an earlier row and are not pairs i < j.
+    """
+    words = packed.words
+    return _xor_popcounts(words[start:stop, None, :], words[None, start + 1 :, :])
 
 
 def pair_hamming(packed: PackedCodes, block: int = 256) -> np.ndarray:
@@ -98,14 +114,11 @@ def pair_hamming(packed: PackedCodes, block: int = 256) -> np.ndarray:
     n = packed.n
     out = np.empty(n * (n - 1) // 2, dtype=np.int64)
     pos = 0
-    for i in range(0, n, block):
-        hi = min(i + block, n)
-        xor = packed.words[i:hi, None, :] ^ packed.words[None, :, :]
-        dist = 2 * np.bitwise_count(xor).sum(axis=2).astype(np.int64)
-        for r in range(i, hi):
-            row = dist[r - i, r + 1 :]
-            out[pos : pos + row.size] = row
-            pos += row.size
+    for i in range(0, n - 1, block):
+        for r, row in enumerate(pair_popcounts(packed, i, min(i + block, n - 1))):
+            out[pos : pos + row.size - r] = row[r:]
+            pos += row.size - r
+    out *= 2
     return out
 
 
@@ -126,13 +139,25 @@ def query_radius(index: PackedCodes, q: np.ndarray, alpha: float) -> np.ndarray:
 def query_knn(index: PackedCodes, q: np.ndarray, k: int) -> np.ndarray:
     """k nearest ids, ties broken by ascending id; k > n returns all.
 
-    Distances take only p + 1 values, so the k-th smallest, t, comes from
-    their histogram; only the codes at distance <= t are sorted.
+    Distances take only p + 1 values, so the k-th smallest, t, is found by
+    counting codes at distance <= t for a few t; only the codes at distance
+    <= t are sorted.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     h = _popcounts(index, q)
-    t = np.searchsorted(np.cumsum(np.bincount(h)), k)
+    # t is the smallest distance with count(h <= t) >= k (or p, which
+    # holds every code): try t = 0, 1, 3, 7, ... up to p, then bisect
+    # (below, t], where count(h <= below) < k
+    below, t = -1, 0
+    while t < index.p and np.count_nonzero(h <= t) < k:
+        below, t = t, min(2 * t + 1, index.p)
+    while t - below > 1:
+        mid = (below + t) // 2
+        if np.count_nonzero(h <= mid) >= k:
+            t = mid
+        else:
+            below = mid
     return _sorted_ids(index, h, np.flatnonzero(h <= t))[:k]
 
 

@@ -71,7 +71,23 @@ class TestLoadDataset:
         assert np.array_equal(back.ids, data.ids)
 
 
+def _reference_labels_by_class(data):
+    """Whole-array build: gather both class labels of every pair."""
+    iu, ju = np.triu_indices(data.n, 1)
+    return ProximityLabels.from_near_mask(data.class_labels[iu] == data.class_labels[ju], data.n)
+
+
 class TestLabelsByClass:
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 131, 500])
+    @pytest.mark.parametrize("classes", ["one", "few", "distinct"])
+    def test_equals_pair_gather(self, n, classes):
+        rng = np.random.default_rng(n)
+        c = {"one": np.full(n, 7), "few": rng.integers(-2, 3, n), "distinct": rng.permutation(n) * 3}[classes]
+        data = Dataset(features=np.zeros((n, 1)), class_labels=c)
+        labels, ref = labels_by_class(data), _reference_labels_by_class(data)
+        assert np.array_equal(labels.packed, ref.packed)
+        assert (labels.near_count, labels.far_count) == (ref.near_count, ref.far_count)
+
     def test_small_example(self):
         data = Dataset(features=np.zeros((3, 1)), class_labels=[0, 0, 1])
         labels = labels_by_class(data)

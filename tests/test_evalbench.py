@@ -1,13 +1,17 @@
 """PR sweeps, AUC, and the joint distance histogram."""
 
 import csv
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ppc.affinity import Dataset, ProximityLabels, pairwise_distances, synth_2d
+from ppc.affinity import Dataset, ProximityLabels, labels_by_class, pairwise_distances, synth_2d, synth_blobs
 from ppc.evalbench import (
+    EVAL_BLOCK,
     JointHistogram,
+    PRCurve,
     auc,
     joint_histogram,
     precision_recall,
@@ -29,6 +33,60 @@ def _labels_from_y(y):
     y = np.asarray(y)
     n = int((1 + np.sqrt(1 + 8 * y.size)) / 2)
     return ProximityLabels.from_near_mask(y > 0, n)
+
+
+def _random_codes(p, n, seed):
+    rng = np.random.default_rng(seed)
+    return (2 * rng.integers(0, 2, size=(p, n)) - 1).astype(np.int8)
+
+
+def _reference_precision_recall(codes, labels):
+    """The whole-array sweep: one int64 distance per pair, split by label."""
+    d = pair_hamming(codes)
+    near = labels.near_mask()
+    p = codes.p
+    tp = np.cumsum(np.bincount(d[near] // 2, minlength=p + 1))
+    fp = np.cumsum(np.bincount(d[~near] // 2, minlength=p + 1))
+    points, counts = [], []
+    for t in range(p + 1):
+        retrieved = int(tp[t] + fp[t])
+        precision = float(tp[t] / retrieved) if retrieved else 1.0
+        points.append((float(2 * t), precision, float(tp[t] / labels.near_count)))
+        counts.append((int(tp[t]), int(fp[t]), int(labels.near_count - tp[t]), int(labels.far_count - fp[t])))
+    return PRCurve(points=points, counts=counts)
+
+
+def _reference_joint_histogram(codes, data, metric, bins):
+    """The whole-array histogram: full pdist, np.digitize, one bincount."""
+    dist = pairwise_distances(data, metric)
+    dh = pair_hamming(codes) // 2
+    lo, hi = float(dist.min()), float(dist.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, bins + 1)
+    row = np.clip(np.digitize(dist, edges) - 1, 0, bins - 1)
+    width = codes.p + 1
+    counts = np.bincount(row * width + dh, minlength=bins * width).reshape(bins, width)
+    return counts, edges
+
+
+def _assert_pr_exact(codes, labels):
+    curve, ref = precision_recall(codes, labels), _reference_precision_recall(codes, labels)
+    assert curve.points == ref.points
+    assert curve.counts == ref.counts
+
+
+def _assert_histogram_exact(codes, data, metric, bins):
+    hist = joint_histogram(codes, data, metric, bins)
+    counts, edges = _reference_joint_histogram(codes, data, metric, bins)
+    assert hist.counts.dtype == np.int64
+    assert np.array_equal(hist.counts, counts)
+    assert np.array_equal(hist.dist_edges, edges)
+    assert np.array_equal(hist.hamming_values, np.arange(0, 2 * codes.p + 1, 2))
+
+
+B = EVAL_BLOCK
+BLOCK_SIZES = [2, B - 1, B, B + 1, 2 * B + 3]
 
 
 def _two_block_labels(block):
@@ -106,14 +164,10 @@ class TestAuc:
 
     def test_constant_precision_rectangle(self):
         curve_points = [(0.0, 0.25, 0.0), (2.0, 0.25, 0.5), (4.0, 0.25, 1.0)]
-        from ppc.evalbench import PRCurve
-
         curve = PRCurve(points=curve_points, counts=[(0, 0, 0, 0)] * 3)
         assert auc(curve) == pytest.approx(0.25)
 
     def test_empty_curve_rejected(self):
-        from ppc.evalbench import PRCurve
-
         with pytest.raises(ValueError):
             auc(PRCurve(points=[], counts=[]))
 
@@ -162,6 +216,122 @@ class TestJointHistogram:
         assert np.array_equal(hist.counts, ref)
 
 
+class TestBlockedSweepsExact:
+    """The row-block sweeps equal the whole-array ones, count for count."""
+
+    @pytest.mark.parametrize("p", [1, 7, 63, 64, 65, 130])
+    def test_precision_recall(self, p):
+        for n in BLOCK_SIZES:
+            codes = pack(_random_codes(p, n, seed=p + n))
+            rng = np.random.default_rng(n)
+            labels = ProximityLabels.from_near_mask(rng.random(n * (n - 1) // 2) < 0.3, n)
+            if labels.near_count:
+                _assert_pr_exact(codes, labels)
+
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_precision_recall_class_labels(self, classes):
+        # one class: every pair is Near
+        data = synth_blobs(2 * B + 3, classes, 2, seed=classes)
+        _assert_pr_exact(pack(_random_codes(9, data.n, seed=8)), labels_by_class(data))
+
+    @pytest.mark.parametrize("p", [1, 7, 63, 64, 65, 130])
+    def test_joint_histogram(self, p):
+        for n in BLOCK_SIZES:
+            data = synth_blobs(n, 4, 3, seed=p + n)
+            codes = pack(_random_codes(p, n, seed=p * n))
+            for metric in ("euclidean", "l1"):
+                for bins in (1, 32):
+                    _assert_histogram_exact(codes, data, metric, bins)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_identical_points(self, n):
+        # every distance is 0: hi <= lo, so the edges span [0, 1]
+        data = Dataset(features=np.full((n, 3), 2.5))
+        for bins in (1, 32):
+            _assert_histogram_exact(pack(_random_codes(5, n, seed=n)), data, "euclidean", bins)
+
+    @pytest.mark.parametrize(
+        "features,metric",
+        [
+            # every distance is the same 1e17-scale value and lo + 1.0 == lo,
+            # so all edges coincide and every pair lands in the last bin
+            (1e17 * np.eye(2), "euclidean"),
+            (1e17 * np.eye(5), "l1"),
+            # the span 2e-320 is subnormal: bins / span overflows
+            (np.array([[0.0], [1e-320], [3e-320]]), "l1"),
+        ],
+        ids=["offset-2", "offset-5", "subnormal"],
+    )
+    def test_degenerate_span(self, features, metric):
+        data = Dataset(features=features)
+        for bins in (1, 32):
+            _assert_histogram_exact(pack(_random_codes(3, data.n, seed=bins)), data, metric, bins)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "l1"])
+    def test_distances_on_bin_edges(self, metric):
+        # integer points 0..33 on a line: lo = 1, hi = 33 and with 32 bins
+        # every edge is an integer, so every distance sits on an edge
+        line = Dataset(features=np.arange(34, dtype=np.float64)[:, None])
+        grid = Dataset(features=np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2))
+        for data in (line, grid):
+            for bins in (1, 8, 11, 32):
+                _assert_histogram_exact(pack(_random_codes(4, data.n, seed=bins)), data, metric, bins)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "l1"])
+    def test_tiny_range_at_large_offset(self, metric):
+        # scaled unit vectors: every distance is about 1e8 and they span
+        # about 1e-6, a few dozen ulps, so edges repeat and the scaled
+        # guess is off by rounding
+        n = 2 * B + 3
+        rng = np.random.default_rng(17)
+        data = Dataset(features=np.diag(1e8 / np.sqrt(2) + rng.uniform(0, 1e-6, n)))
+        dist = pairwise_distances(data, metric)
+        assert dist.min() > 0.9e8 and dist.max() - dist.min() < 1e-5
+        for bins in (1, 7, 32, 1000):
+            _assert_histogram_exact(pack(_random_codes(8, n, seed=bins)), data, metric, bins)
+
+
+def _peak_bytes(fn):
+    """Peak bytes allocated while fn runs, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """The pair sweeps allocate far less than one 2-byte value per pair."""
+
+    N = 3000
+    BYTES_PER_PAIR = 2.0
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        data = synth_blobs(self.N, 10, 16, seed=1)
+        labels = labels_by_class(data)
+        labels.near_mask()
+        return data, labels, pack(_random_codes(6, self.N, seed=2))
+
+    def _assert_under_budget(self, fn):
+        pairs = self.N * (self.N - 1) // 2
+        assert _peak_bytes(fn) < self.BYTES_PER_PAIR * pairs
+
+    def test_precision_recall(self, inputs):
+        _, labels, codes = inputs
+        self._assert_under_budget(lambda: precision_recall(codes, labels))
+
+    def test_joint_histogram(self, inputs):
+        data, _, codes = inputs
+        self._assert_under_budget(lambda: joint_histogram(codes, data))
+
+    def test_labels_by_class(self, inputs):
+        data, _, _ = inputs
+        self._assert_under_budget(lambda: labels_by_class(data))
+
+
 class TestCsvEmission:
     def test_pr_csv_roundtrip(self, tmp_path):
         C = _perfect_codes(4, 3)
@@ -197,3 +367,35 @@ class TestCsvEmission:
             rows = list(csv.reader(fh))
         assert rows[0] == ["auc"]
         assert float(rows[1][0]) == 0.875
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+    __int__ = __float__ = __str__
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_pr_csv(PRCurve(points=[(0.0, 1.0, 0.5)] * 2, counts=[(1, 0, 1, 3), (1, _Unprintable(), 1, 3)]), path),
+        lambda path: write_histogram_csv(
+            JointHistogram(
+                counts=np.array([[1, _Unprintable()]], dtype=object),
+                dist_edges=np.array([0.0, 1.0]),
+                hamming_values=np.array([0, 2]),
+            ),
+            path,
+        ),
+        lambda path: write_auc_csv(_Unprintable(), path),
+    ],
+    ids=["pr", "hist", "auc"],
+)
+def test_csv_writer_failing_mid_file_keeps_old_file(tmp_path, write):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write(path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left

@@ -181,7 +181,7 @@ class TestQueries:
 def _assert_queries_match_reference(index, queries):
     n, p = index.n, index.p
     for q in queries:
-        for k in (1, 2, n - 1, n, n + 5):
+        for k in (1, 2, 10, 500, n - 1, n, n + 5):
             if k >= 1:
                 assert np.array_equal(query_knn(index, q, k), _reference_knn(index, q, k))
         for alpha in (-1, 0, 1, 1.5, 2, 2 * p, 2 * p + 1, np.inf, -np.inf, np.nan):
@@ -191,11 +191,21 @@ def _assert_queries_match_reference(index, queries):
 class TestQueryExactness:
     """The selecting kNN/radius queries equal the full-scan lexsort order."""
 
-    @pytest.mark.parametrize("p", [1, 7, 63, 64, 65, 130])
+    @pytest.mark.parametrize("p", [1, 7, 63, 64, 65, 130, 192])
     def test_random_codes(self, p):
         index = pack(_random_codes(p, 300, seed=p))
         queries = pack(_random_codes(p, 4, seed=1000 + p)).words
         _assert_queries_match_reference(index, list(queries) + [index.words[0]])
+
+    def test_clustered_codes(self):
+        # codes near a few prototypes, as learned codes are: small distances
+        # repeat, and k = 10 or 500 cuts inside a crowded distance
+        rng = np.random.default_rng(35)
+        protos = _random_codes(64, 5, seed=36)
+        C = protos[:, rng.integers(0, 5, size=1500)]
+        C = np.where(rng.random(C.shape) < 0.05, -C, C).astype(np.int8)
+        index = pack(C)
+        _assert_queries_match_reference(index, list(index.words[:4]) + list(pack(protos).words))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_heavy_ties(self, p):
